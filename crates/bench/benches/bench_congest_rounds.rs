@@ -1,11 +1,14 @@
-//! Wall-clock of the CONGEST round engines: gossip flood (the
+//! Wall-clock of the CONGEST round simulator: gossip flood (the
 //! message-plumbing stress test — `2m` deliveries per round), BFS-tree
-//! construction, and distributed Borůvka, each on the sequential engine
-//! and on the sharded executor at 1/2/4/8 shards.
+//! construction, and distributed Borůvka (thousands of near-silent
+//! rounds, where per-round delivery overhead shows).
+//!
+//! Rows keep the `seq` id of the old sequential engine, so the perf gate
+//! compares the counting-sort delivery against its committed rows.
 //!
 //! Besides the console report the run dumps every measurement to
 //! `BENCH_congest_rounds.json` (override with `DECSS_BENCH_JSON`) so the
-//! perf gate (`bench_gate`) can diff engine performance mechanically.
+//! perf gate (`bench_gate`) can diff simulator performance mechanically.
 //!
 //! The `naive` flood rows preserve the pre-refactor engine — per-round
 //! inbox reallocation, a per-sender `HashMap` for bandwidth accounting,
@@ -16,13 +19,12 @@
 //!
 //! Coverage caps (deliberate, not silent): Borůvka is benched at
 //! n ∈ {256, 1024} only — its round count grows as `n log n` with
-//! `Θ(n)`-round phases, so 10k+ instances take minutes per iteration on
-//! any engine; flood and BFS cover the 10^5-vertex regime the ROADMAP
+//! `Θ(n)`-round phases, so 10k+ instances take minutes per iteration;
+//! flood and BFS cover the 10^5-vertex regime the ROADMAP
 //! targets.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use decss_congest::protocols::{bfs, boruvka, flood};
-use decss_congest::RoundEngine;
 use decss_graphs::{gen, EdgeId, Graph, VertexId};
 use std::collections::HashMap;
 
@@ -30,18 +32,6 @@ const FLOOD_SIZES: [usize; 3] = [1_000, 10_000, 100_000];
 const BFS_SIZES: [usize; 3] = [1_000, 10_000, 100_000];
 const BORUVKA_SIZES: [usize; 2] = [256, 1_024];
 const FLOOD_BURSTS: u32 = 8;
-
-fn engines() -> Vec<(String, RoundEngine)> {
-    let mut v = vec![("seq".to_string(), RoundEngine::Sequential)];
-    for shards in [1usize, 2, 4, 8] {
-        v.push((format!("shards{shards}"), RoundEngine::sharded(shards)));
-    }
-    // The adaptive engine: should track `seq` on small/quiet instances
-    // (Borůvka) and the best sharded row on message-heavy ones (flood
-    // at 10⁵) — the rows quantify what the volume heuristic costs.
-    v.push(("auto".to_string(), RoundEngine::Auto));
-    v
-}
 
 fn instance(n: usize) -> Graph {
     // Same family as bench_graph_core: random spanning tree + n/2 chords
@@ -123,7 +113,7 @@ fn bench_flood(c: &mut Criterion) {
     group.sample_size(20);
     for n in FLOOD_SIZES {
         let g = instance(n);
-        // Cross-check: the preserved old engine and the current ones
+        // Cross-check: the preserved old engine and the current one
         // must compute the same accumulators (they are the same
         // protocol), so the timing rows are comparable.
         let (ref_accs, ref_report) = flood::gossip_flood(&g, FLOOD_BURSTS);
@@ -136,11 +126,9 @@ fn bench_flood(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new(format!("{n}"), "naive"), &g, |b, g| {
             b.iter(|| naive_flood(g, FLOOD_BURSTS))
         });
-        for (label, engine) in engines() {
-            group.bench_with_input(BenchmarkId::new(format!("{n}"), &label), &g, |b, g| {
-                b.iter(|| flood::gossip_flood_with(g, FLOOD_BURSTS, engine))
-            });
-        }
+        group.bench_with_input(BenchmarkId::new(format!("{n}"), "seq"), &g, |b, g| {
+            b.iter(|| flood::gossip_flood(g, FLOOD_BURSTS))
+        });
     }
     group.finish();
 }
@@ -152,11 +140,9 @@ fn bench_bfs(c: &mut Criterion) {
         let g = instance(n);
         let (_, report) = bfs::distributed_bfs(&g, VertexId(0));
         println!("congest_rounds/bfs/{n}: {} rounds per iteration", report.rounds);
-        for (label, engine) in engines() {
-            group.bench_with_input(BenchmarkId::new(format!("{n}"), &label), &g, |b, g| {
-                b.iter(|| bfs::distributed_bfs_with(g, VertexId(0), engine))
-            });
-        }
+        group.bench_with_input(BenchmarkId::new(format!("{n}"), "seq"), &g, |b, g| {
+            b.iter(|| bfs::distributed_bfs(g, VertexId(0)))
+        });
     }
     group.finish();
 }
@@ -170,11 +156,9 @@ fn bench_boruvka(c: &mut Criterion) {
         let g = gen::gnp_two_ec(n, 4.0 / n as f64, 1_000, 5);
         let (_, report) = boruvka::distributed_mst(&g);
         println!("congest_rounds/boruvka/{n}: {} rounds per iteration", report.rounds);
-        for (label, engine) in engines() {
-            group.bench_with_input(BenchmarkId::new(format!("{n}"), &label), &g, |b, g| {
-                b.iter(|| boruvka::distributed_mst_with(g, engine))
-            });
-        }
+        group.bench_with_input(BenchmarkId::new(format!("{n}"), "seq"), &g, |b, g| {
+            b.iter(|| boruvka::distributed_mst(g))
+        });
     }
     group.finish();
 }

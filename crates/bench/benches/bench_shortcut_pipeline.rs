@@ -10,8 +10,8 @@
 //! * `cover_engine` — four aggregate invocations on a prebuilt engine
 //!   (flat strided/epoch-reset scratch vs per-invocation allocations).
 //! * `end_to_end` — `shortcut_two_ecss` at the 10⁴/10⁵-vertex scale the
-//!   ROADMAP targets (flat only; the ROADMAP "Bigger instances for
-//!   Theorem 1.2" envelope rows).
+//!   ROADMAP targets: `flat` rows run it sequentially, `poolmax` rows
+//!   through `shortcut_two_ecss_pool` with one worker per core.
 //!
 //! Every naive/flat pair is asserted result-identical before timing, so
 //! the rows measure the same computation. Measurements dump to
@@ -219,18 +219,8 @@ fn bench_end_to_end(c: &mut Criterion) {
                 &g,
                 |b, g| b.iter(|| shortcut_two_ecss(g, &ShortcutConfig::default())),
             );
-            // pool1 vs poolmax: the pooled entry point's overhead at
-            // one worker, and what the host's cores buy end to end.
-            group.bench_with_input(
-                BenchmarkId::new(format!("{family}/{n}"), "pool1"),
-                &g,
-                |b, g| {
-                    let pool = ShardPool::sequential();
-                    b.iter(|| {
-                        shortcut_two_ecss_pool(g, &ShortcutConfig::default(), &pool, &mut arena)
-                    })
-                },
-            );
+            // What the host's cores buy end to end: the per-level
+            // fan-out of the `ScTools` build.
             group.bench_with_input(
                 BenchmarkId::new(format!("{family}/{n}"), "poolmax"),
                 &g,

@@ -12,18 +12,11 @@
 //! * [`Network`] — a deterministic round-by-round simulator over a
 //!   [`decss_graphs::Graph`], enforcing a per-edge, per-direction,
 //!   per-round bandwidth budget measured in `O(log n)`-bit *words*
-//!   ([`message::Word`]),
-//! * [`engine::RoundEngine`] — the execution strategy behind
-//!   [`Network::run`]: the sequential reference loop, the
-//!   multi-threaded [`engine::ShardedRounds`] executor (vertex-range
-//!   shards on scoped worker threads, counting-sort message delivery
-//!   into one contiguous inbox arena), or the adaptive
-//!   [`engine::AutoRounds`], which shards only rounds whose message
-//!   volume amortises the barrier cost — all bit-identical (same
-//!   reports, same node states, same assertions),
+//!   ([`message::Word`]) and delivering each round's messages by a
+//!   counting sort on the recipient into one contiguous inbox arena,
 //! * [`pool::ShardPool`] — a scoped-thread pool with deterministic
-//!   chunked fan-out, shared by the higher-level crates for intra-solve
-//!   parallelism (per-part BFS, per-level shortcut evaluation),
+//!   chunked fan-out, which the shortcut pipeline uses to measure its
+//!   fragment-hierarchy levels in parallel,
 //! * [`metrics::SimReport`] — rounds, message and word counts, and the
 //!   maximum per-edge congestion observed,
 //! * genuine message-level protocols in [`protocols`]: BFS-tree
@@ -47,7 +40,6 @@
 //! assert!(report.rounds as u32 >= tree.depth());
 //! ```
 
-pub mod engine;
 pub mod ledger;
 pub mod message;
 pub mod metrics;
@@ -55,7 +47,6 @@ pub mod network;
 pub mod pool;
 pub mod protocols;
 
-pub use engine::{AutoRounds, RoundEngine, ShardedRounds};
 pub use ledger::RoundLedger;
 pub use message::{Message, Word, WordVec, DEFAULT_BANDWIDTH};
 pub use metrics::SimReport;

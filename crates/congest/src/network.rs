@@ -1,21 +1,44 @@
 //! The synchronous round simulator.
 //!
-//! Two engines execute the same round semantics (see
-//! [`crate::engine::RoundEngine`]): the sequential reference
-//! implementation in this module and the sharded multi-threaded executor
-//! in [`crate::engine`]. Both are allocation-free in steady state —
-//! inboxes are double-buffered and reused, bandwidth accounting uses a
-//! flat per-edge vector with a touched-edge scratch list — and both
-//! produce bit-identical [`SimReport`]s and node states.
+//! [`Network::step`] drives one round: every vertex, in increasing id
+//! order, runs [`NodeLogic::on_round`] against its inbox, and its sends
+//! are checked against the bandwidth budget and appended to one flat
+//! send buffer in send order. Once every vertex has run, a counting sort
+//! on the recipient delivers that buffer into the inbox arena, which
+//! holds all inboxes back to back in increasing recipient id, each in
+//! send order. That is the order a queue per recipient would hold, and
+//! protocols rely on it: BFS adopts the first wave in its inbox.
+//!
+//! # Per-round cost
+//!
+//! Delivery costs two linear passes over the round's messages plus work
+//! in `k`, the number of distinct recipients, rather than in `n`: the
+//! recipients are listed as their counts leave zero and sorted when the
+//! round is sparse, or collected by one scan of the count table when it
+//! is dense (`k ≥ n / DENSE`). Borůvka at n = 1024, whose 12 317 rounds
+//! average 7 messages each, thus pays almost nothing for delivery, while
+//! flood's all-to-all rounds pay one scan instead of a sort.
+//!
+//! # Steady-state allocation
+//!
+//! The send buffer and the arena form a double buffer: sends accumulate
+//! while the arena is read, and the arena is rebuilt from them once the
+//! round's last vertex has run. Both, the count table and the per-edge
+//! load table are allocated once and recycled, so rounds allocate
+//! nothing beyond what spilled payloads need (see
+//! [`crate::message::WordVec`]).
 
-use crate::engine::{self, RoundEngine};
 use crate::message::{Message, DEFAULT_BANDWIDTH};
 use crate::metrics::SimReport;
 use decss_graphs::{EdgeId, Graph, VertexId};
 
-/// One in-flight message: `(edge, sender, message)`, indexed by recipient
-/// in the engine's inbox buffers.
+/// One in-flight message: `(edge, sender, message)`, as its recipient's
+/// inbox lists it.
 pub(crate) type Delivery = (EdgeId, VertexId, Message);
+
+/// A round is delivered by one scan of the count table, instead of by
+/// sorting its recipient list, once it reaches `n / DENSE` recipients.
+const DENSE: usize = 32;
 
 /// Behaviour of one vertex in a protocol.
 ///
@@ -35,100 +58,21 @@ pub trait NodeLogic {
     }
 }
 
-/// Tallies of the current node's sends, used by the engines to pick the
-/// accounting path: a node whose sends all came from [`RoundCtx::send_all`]
-/// loads every incident edge uniformly, so its bandwidth check is a
-/// single comparison instead of a per-message edge-table walk.
+/// Tallies of the current node's sends, used to pick the accounting
+/// path: a node whose sends all came from [`RoundCtx::send_all`] loads
+/// every incident edge uniformly, so its bandwidth check is a single
+/// comparison instead of a per-message edge-table walk.
 #[derive(Clone, Copy, Default)]
-pub(crate) struct SendTally {
+struct SendTally {
     /// Total words per edge contributed by uniform bursts.
-    pub(crate) burst_cost: u64,
+    burst_cost: u64,
     /// Messages enqueued by bursts.
-    pub(crate) burst_msgs: u64,
+    burst_msgs: u64,
     /// Words enqueued by bursts (over all edges).
-    pub(crate) burst_words: u64,
+    burst_words: u64,
     /// Messages enqueued by targeted [`RoundCtx::send`] calls; if any,
-    /// the engine falls back to exact per-edge accounting.
-    pub(crate) singles: u64,
-}
-
-/// Per-message-set tallies [`route_outbox`] folds into a report: the
-/// mutable subset of [`SimReport`] a single node's sends can affect.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct SendStats {
-    pub(crate) messages: u64,
-    pub(crate) words: u64,
-    pub(crate) max_edge_load: u64,
-}
-
-/// Validates, accounts, and routes one node's drained outbox — the
-/// single implementation both engines share, so bandwidth rules,
-/// assertion wording, and report arithmetic can never diverge between
-/// them. `deliver` is the engine-specific sink: the sequential engine
-/// pushes straight into per-recipient inboxes, the sharded engine into
-/// destination-shard buckets.
-///
-/// Two paths, identical semantics:
-/// * every send came from [`RoundCtx::send_all`] (`tally.singles == 0`):
-///   each incident edge carries exactly `burst_cost` words and incidence
-///   holds by construction, so one budget comparison covers the whole
-///   outbox;
-/// * otherwise: exact per-edge accounting on the flat `edge_load`
-///   vector, with `touched` recording which entries to reset so the next
-///   node starts clean without a per-node map allocation or an O(m) wipe.
-#[allow(clippy::too_many_arguments)] // crate-private plumbing: the engines' scratch buffers are deliberately separate locals
-pub(crate) fn route_outbox(
-    graph: &Graph,
-    bandwidth: usize,
-    me: VertexId,
-    tally: SendTally,
-    outbox: &mut Vec<Delivery>,
-    edge_load: &mut [u64],
-    touched: &mut Vec<EdgeId>,
-    stats: &mut SendStats,
-    mut deliver: impl FnMut(VertexId, Delivery),
-) {
-    if tally.singles == 0 {
-        assert!(
-            tally.burst_cost <= bandwidth as u64,
-            "bandwidth exceeded on {} by {me}: {} > {} words",
-            graph.neighbors(me)[0].0,
-            tally.burst_cost,
-            bandwidth
-        );
-        stats.messages += tally.burst_msgs;
-        stats.words += tally.burst_words;
-        stats.max_edge_load = stats.max_edge_load.max(tally.burst_cost);
-        for (e, to, msg) in outbox.drain(..) {
-            deliver(to, (e, me, msg));
-        }
-    } else {
-        for (e, to, msg) in outbox.drain(..) {
-            let edge = graph.edge(e);
-            assert!(
-                edge.has_endpoint(me) && edge.other(me) == to,
-                "{me} tried to send over non-incident edge {e} to {to}"
-            );
-            let load = &mut edge_load[e.index()];
-            if *load == 0 {
-                touched.push(e);
-            }
-            *load += msg.cost() as u64;
-            assert!(
-                *load <= bandwidth as u64,
-                "bandwidth exceeded on {e} by {me}: {} > {} words",
-                *load,
-                bandwidth
-            );
-            stats.messages += 1;
-            stats.words += msg.cost() as u64;
-            stats.max_edge_load = stats.max_edge_load.max(*load);
-            deliver(to, (e, me, msg));
-        }
-        for e in touched.drain(..) {
-            edge_load[e.index()] = 0;
-        }
-    }
+    /// the node falls back to exact per-edge accounting.
+    singles: u64,
 }
 
 /// Per-round view handed to a node.
@@ -141,8 +85,8 @@ pub struct RoundCtx<'a> {
     pub ports: &'a [(EdgeId, VertexId)],
     /// Messages delivered this round as `(edge, sender, message)`.
     pub inbox: &'a [Delivery],
-    pub(crate) outbox: &'a mut Vec<Delivery>,
-    pub(crate) tally: SendTally,
+    sends: &'a mut Vec<(VertexId, Delivery)>,
+    tally: SendTally,
 }
 
 impl RoundCtx<'_> {
@@ -150,7 +94,7 @@ impl RoundCtx<'_> {
     /// delivered at the start of the next round.
     pub fn send(&mut self, edge: EdgeId, to: VertexId, msg: Message) {
         self.tally.singles += 1;
-        self.outbox.push((edge, to, msg));
+        self.sends.push((to, (edge, self.me, msg)));
     }
 
     /// Sends `msg` to every neighbour.
@@ -160,33 +104,43 @@ impl RoundCtx<'_> {
         self.tally.burst_msgs += self.ports.len() as u64;
         self.tally.burst_words += cost * self.ports.len() as u64;
         for &(e, w) in self.ports {
-            self.outbox.push((e, w, msg.clone()));
+            self.sends.push((w, (e, self.me, msg.clone())));
         }
     }
+}
+
+/// One round's deliveries, grouped by recipient in increasing id order:
+/// the inbox of `recipients[i]` is `data[offsets[i]..offsets[i + 1]]`,
+/// in send order. A vertex not listed received nothing.
+#[derive(Default)]
+struct InboxArena {
+    recipients: Vec<VertexId>,
+    offsets: Vec<usize>,
+    data: Vec<Delivery>,
 }
 
 /// The simulator: owns the per-vertex node states and runs rounds until
 /// quiescence or a round cap.
 pub struct Network<'g, N> {
-    pub(crate) graph: &'g Graph,
-    pub(crate) nodes: Vec<N>,
-    pub(crate) bandwidth: usize,
-    pub(crate) engine: RoundEngine,
-    pub(crate) report: SimReport,
-    /// In-flight messages addressed per recipient for the next round.
-    pub(crate) pending: Vec<Vec<Delivery>>,
-    /// Double buffer: last round's (already consumed) inbox vectors,
-    /// swapped with `pending` at each round start so their capacity is
-    /// reused instead of reallocated.
-    pub(crate) inboxes: Vec<Vec<Delivery>>,
-    /// Per-node send scratch, drained after every `on_round` call.
-    outbox: Vec<Delivery>,
+    graph: &'g Graph,
+    nodes: Vec<N>,
+    bandwidth: usize,
+    report: SimReport,
+    /// This round's inboxes, delivered at the end of the previous round.
+    inboxes: InboxArena,
+    /// This round's sends as `(recipient, delivery)`, in send order.
+    sends: Vec<(VertexId, Delivery)>,
+    /// Per-recipient message counts of `sends`, reused as write cursors
+    /// by the delivery; all zero between rounds.
+    counts: Vec<usize>,
+    /// Recipients whose count left zero this round.
+    touched: Vec<VertexId>,
     /// Flat per-edge word counts for the node currently being driven
-    /// (index = edge id); only the entries listed in `touched` are live.
+    /// (index = edge id); only the entries listed in `loaded` are live.
     edge_load: Vec<u64>,
     /// Edges the current node has sent over, used to reset `edge_load`
     /// without scanning all `m` entries.
-    touched: Vec<EdgeId>,
+    loaded: Vec<EdgeId>,
 }
 
 impl<'g, N: NodeLogic> Network<'g, N> {
@@ -197,26 +151,19 @@ impl<'g, N: NodeLogic> Network<'g, N> {
             graph,
             nodes,
             bandwidth: DEFAULT_BANDWIDTH,
-            engine: RoundEngine::Sequential,
             report: SimReport::default(),
-            pending: vec![Vec::new(); graph.n()],
-            inboxes: vec![Vec::new(); graph.n()],
-            outbox: Vec::new(),
-            edge_load: vec![0; graph.m()],
+            inboxes: InboxArena::default(),
+            sends: Vec::new(),
+            counts: vec![0; graph.n()],
             touched: Vec::new(),
+            edge_load: vec![0; graph.m()],
+            loaded: Vec::new(),
         }
     }
 
     /// Overrides the per-edge per-direction per-round word budget.
     pub fn with_bandwidth(mut self, words: usize) -> Self {
         self.bandwidth = words;
-        self
-    }
-
-    /// Selects the engine that [`Network::run`] executes rounds on.
-    /// Defaults to [`RoundEngine::Sequential`].
-    pub fn with_engine(mut self, engine: RoundEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -230,70 +177,166 @@ impl<'g, N: NodeLogic> Network<'g, N> {
         self.nodes.iter().enumerate().map(|(i, n)| (VertexId(i as u32), n))
     }
 
-    /// Executes a single round on the sequential reference engine;
-    /// returns whether the round was quiescent (nothing delivered,
-    /// nothing sent, nobody wants a tick).
+    /// Executes a single round; returns whether the round was quiescent
+    /// (nothing delivered, nothing sent, nobody wants a tick).
     ///
-    /// [`Network::run`] honours the configured [`RoundEngine`]; `step`
-    /// always drives the reference implementation, which the sharded
-    /// executor is bit-for-bit equivalent to.
+    /// # Panics
+    ///
+    /// Panics if a vertex exceeds the bandwidth budget on an edge or
+    /// sends over an edge it is not an endpoint of.
     pub fn step(&mut self, round: u64) -> bool {
-        let n = self.graph.n();
-        // Double buffer: this round's deliveries were accumulated in
-        // `pending`; the vectors consumed last round become the new
-        // accumulation buffers, keeping their capacity.
-        std::mem::swap(&mut self.pending, &mut self.inboxes);
-        for buf in &mut self.pending {
-            buf.clear();
-        }
-        let delivered: u64 = self.inboxes.iter().map(|b| b.len() as u64).sum();
+        let delivered = self.inboxes.data.len();
         let any_tick = self.nodes.iter().any(|nd| nd.wants_tick());
-
         let mut sent_any = false;
-        let mut stats = SendStats {
-            messages: self.report.messages,
-            words: self.report.words,
-            max_edge_load: self.report.max_edge_load,
-        };
-        let pending = &mut self.pending;
-        for v in 0..n {
+        // Cursor into the arena's recipient list, which is in id order.
+        let mut next = 0;
+        for v in 0..self.graph.n() {
             let me = VertexId(v as u32);
+            let arena = &self.inboxes;
+            let inbox: &[Delivery] = if arena.recipients.get(next) == Some(&me) {
+                next += 1;
+                &arena.data[arena.offsets[next - 1]..arena.offsets[next]]
+            } else {
+                &[]
+            };
+            let start = self.sends.len();
             let mut ctx = RoundCtx {
                 me,
                 round,
                 ports: self.graph.neighbors(me),
-                inbox: &self.inboxes[v],
-                outbox: &mut self.outbox,
+                inbox,
+                sends: &mut self.sends,
                 tally: SendTally::default(),
             };
             self.nodes[v].on_round(&mut ctx);
             let tally = ctx.tally;
-            if self.outbox.is_empty() {
-                continue;
+            if self.sends.len() > start {
+                sent_any = true;
+                self.account(me, tally, start);
             }
-            sent_any = true;
-            route_outbox(
-                self.graph,
-                self.bandwidth,
-                me,
-                tally,
-                &mut self.outbox,
-                &mut self.edge_load,
-                &mut self.touched,
-                &mut stats,
-                |to, delivery| pending[to.index()].push(delivery),
-            );
         }
-        self.report.messages = stats.messages;
-        self.report.words = stats.words;
-        self.report.max_edge_load = stats.max_edge_load;
-
         if delivered == 0 && !sent_any && !any_tick {
-            true
-        } else {
-            self.report.rounds += 1;
-            false
+            return true;
         }
+        self.report.rounds += 1;
+        self.deliver();
+        false
+    }
+
+    /// Validates and accounts the sends `me` appended from `start` on,
+    /// and counts them per recipient for the delivery.
+    ///
+    /// Two paths, identical semantics:
+    /// * every send came from [`RoundCtx::send_all`]
+    ///   (`tally.singles == 0`): each incident edge carries exactly
+    ///   `burst_cost` words and incidence holds by construction, so one
+    ///   budget comparison covers them all;
+    /// * otherwise: exact per-edge accounting on the flat `edge_load`
+    ///   table, with `loaded` recording which entries to reset so the
+    ///   next node starts clean without an O(m) wipe.
+    fn account(&mut self, me: VertexId, tally: SendTally, start: usize) {
+        let graph = self.graph;
+        let bandwidth = self.bandwidth as u64;
+        let report = &mut self.report;
+        let sends = &self.sends[start..];
+        if tally.singles == 0 {
+            assert!(
+                tally.burst_cost <= bandwidth,
+                "bandwidth exceeded on {} by {me}: {} > {} words",
+                graph.neighbors(me)[0].0,
+                tally.burst_cost,
+                bandwidth
+            );
+            report.messages += tally.burst_msgs;
+            report.words += tally.burst_words;
+            report.max_edge_load = report.max_edge_load.max(tally.burst_cost);
+        } else {
+            for &(to, (e, _, ref msg)) in sends {
+                let edge = graph.edge(e);
+                assert!(
+                    edge.has_endpoint(me) && edge.other(me) == to,
+                    "{me} tried to send over non-incident edge {e} to {to}"
+                );
+                let load = &mut self.edge_load[e.index()];
+                if *load == 0 {
+                    self.loaded.push(e);
+                }
+                *load += msg.cost() as u64;
+                assert!(
+                    *load <= bandwidth,
+                    "bandwidth exceeded on {e} by {me}: {} > {} words",
+                    *load,
+                    bandwidth
+                );
+                report.messages += 1;
+                report.words += msg.cost() as u64;
+                report.max_edge_load = report.max_edge_load.max(*load);
+            }
+            for e in self.loaded.drain(..) {
+                self.edge_load[e.index()] = 0;
+            }
+        }
+        for &(to, _) in sends {
+            let count = &mut self.counts[to.index()];
+            if *count == 0 {
+                self.touched.push(to);
+            }
+            *count += 1;
+        }
+    }
+
+    /// Delivers this round's sends into the inbox arena by a counting
+    /// sort on the recipient. The sort is stable, so each inbox keeps
+    /// send order.
+    fn deliver(&mut self) {
+        let arena = &mut self.inboxes;
+        let counts = &mut self.counts;
+        arena.recipients.clear();
+        if self.touched.len() * DENSE >= counts.len() {
+            let listed = counts.iter().enumerate().filter(|&(_, &c)| c > 0);
+            arena.recipients.extend(listed.map(|(v, _)| VertexId(v as u32)));
+        } else {
+            self.touched.sort_unstable();
+            std::mem::swap(&mut arena.recipients, &mut self.touched);
+        }
+        self.touched.clear();
+        // Prefix sums turn each count into its recipient's write cursor.
+        arena.offsets.clear();
+        arena.offsets.push(0);
+        let mut total = 0;
+        for &r in &arena.recipients {
+            let count = std::mem::replace(&mut counts[r.index()], total);
+            total += count;
+            arena.offsets.push(total);
+        }
+        // Every slot below `total` is assigned exactly once by the
+        // scatter, so last round's entries are simply overwritten.
+        arena.data.resize(total, (EdgeId(0), VertexId(0), Message::signal(0)));
+        for (to, delivery) in self.sends.drain(..) {
+            let cursor = &mut counts[to.index()];
+            arena.data[*cursor] = delivery;
+            *cursor += 1;
+        }
+        for &r in &arena.recipients {
+            counts[r.index()] = 0;
+        }
+    }
+
+    /// Runs rounds until quiescence or `max_rounds`.
+    ///
+    /// Returns the metrics of the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any vertex exceeds the bandwidth budget on an edge, or if
+    /// the protocol fails to quiesce within `max_rounds` (a protocol bug).
+    pub fn run(&mut self, max_rounds: u64) -> SimReport {
+        for round in 0..max_rounds {
+            if self.step(round) {
+                return self.report;
+            }
+        }
+        panic!("protocol did not quiesce within {max_rounds} rounds");
     }
 
     /// The metrics accumulated so far.
@@ -304,33 +347,6 @@ impl<'g, N: NodeLogic> Network<'g, N> {
     /// The underlying graph.
     pub fn graph(&self) -> &'g Graph {
         self.graph
-    }
-}
-
-impl<'g, N: NodeLogic + Send> Network<'g, N> {
-    /// Runs rounds until quiescence or `max_rounds`, on the configured
-    /// [`RoundEngine`].
-    ///
-    /// Returns the metrics of the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vertex exceeds the bandwidth budget on an edge, or if
-    /// the protocol fails to quiesce within `max_rounds` (a protocol bug).
-    pub fn run(&mut self, max_rounds: u64) -> SimReport {
-        match self.engine {
-            RoundEngine::Sequential => {
-                for round in 0..max_rounds {
-                    let quiescent = self.step(round);
-                    if quiescent {
-                        return self.report;
-                    }
-                }
-                panic!("protocol did not quiesce within {max_rounds} rounds");
-            }
-            RoundEngine::Sharded { shards } => engine::run_sharded(self, shards, max_rounds),
-            RoundEngine::Auto => engine::run_auto(self, max_rounds),
-        }
     }
 }
 

@@ -162,19 +162,6 @@ impl ShardPool {
             .map(|r| r.expect("pool chunk completed"))
             .collect()
     }
-
-    /// Chunked map over `0..tasks` with no per-chunk state: returns
-    /// `f(i)` for every `i`, **in task order**.
-    pub fn map_indexed<T: Send>(&self, tasks: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-        let mut units = vec![(); self.chunks(tasks).max(1)];
-        let chunked =
-            self.run_chunks(&mut units, tasks, |_, range| range.map(&f).collect::<Vec<T>>());
-        let mut out = Vec::with_capacity(tasks);
-        for chunk in chunked {
-            out.extend(chunk);
-        }
-        out
-    }
 }
 
 impl Default for ShardPool {
@@ -194,6 +181,13 @@ impl std::fmt::Display for ShardPool {
 mod tests {
     use super::*;
 
+    /// Every task index, gathered chunk by chunk in chunk order.
+    fn indices(pool: &ShardPool, tasks: usize) -> Vec<usize> {
+        let mut states = vec![(); pool.workers()];
+        pool.run_chunks(&mut states, tasks, |_, range| range.collect::<Vec<_>>())
+            .concat()
+    }
+
     #[test]
     fn oversubscribed_hint_degrades_instead_of_panicking() {
         // Satellite: shards=64 on this 1-core container must clamp, not
@@ -202,8 +196,7 @@ mod tests {
         assert_eq!(pool.workers(), ShardPool::MAX_WORKERS);
         assert!(pool.threads() >= 1);
         assert!(pool.threads() <= 64);
-        let out = pool.map_indexed(100, |i| i * i);
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+        assert_eq!(indices(&pool, 100), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -220,8 +213,7 @@ mod tests {
         // host, results still in task order.
         let pool = ShardPool::with_threads(4, 4);
         assert_eq!((pool.workers(), pool.threads()), (4, 4));
-        let out = pool.map_indexed(37, |i| i as u64 + 1);
-        assert_eq!(out, (0..37).map(|i| i as u64 + 1).collect::<Vec<_>>());
+        assert_eq!(indices(&pool, 37), (0..37).collect::<Vec<_>>());
     }
 
     #[test]
@@ -241,9 +233,8 @@ mod tests {
     fn more_chunks_than_tasks_collapses() {
         let pool = ShardPool::with_threads(8, 8);
         assert_eq!(pool.chunks(3), 3);
-        let out = pool.map_indexed(3, |i| i);
-        assert_eq!(out, vec![0, 1, 2]);
-        assert!(pool.map_indexed(0, |i| i).is_empty());
+        assert_eq!(indices(&pool, 3), vec![0, 1, 2]);
+        assert!(indices(&pool, 0).is_empty());
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! The root starts a wave; every vertex adopts the first sender as its
 //! parent and forwards the wave. Takes `depth + O(1)` rounds.
 
-use crate::engine::RoundEngine;
 use crate::message::Message;
 use crate::metrics::SimReport;
 use crate::network::{Network, NodeLogic, RoundCtx};
@@ -48,22 +47,12 @@ impl NodeLogic for BfsNode {
 /// equal the centralized oracle's (asserted in tests), though parent
 /// choices may differ among equal-distance candidates.
 pub fn distributed_bfs(g: &Graph, root: VertexId) -> (BfsTree, SimReport) {
-    distributed_bfs_with(g, root, RoundEngine::Sequential)
-}
-
-/// [`distributed_bfs`] on an explicit [`RoundEngine`].
-pub fn distributed_bfs_with(
-    g: &Graph,
-    root: VertexId,
-    engine: RoundEngine,
-) -> (BfsTree, SimReport) {
     let mut net = Network::new(g, |v| BfsNode {
         is_root: v == root,
         dist: None,
         parent: None,
         parent_edge: None,
-    })
-    .with_engine(engine);
+    });
     let report = net.run(2 * g.n() as u64 + 4);
     let mut parent = vec![None; g.n()];
     let mut parent_edge = vec![None; g.n()];

@@ -15,7 +15,6 @@
 //! logical pipeline uses (Kruskal with id tie-breaking) is the one a real
 //! distributed execution computes.
 
-use crate::engine::RoundEngine;
 use crate::message::Message;
 use crate::metrics::SimReport;
 use crate::network::{Network, NodeLogic, RoundCtx};
@@ -197,15 +196,6 @@ impl NodeLogic for BoruvkaNode {
 ///
 /// Panics if the graph is disconnected (the protocol would stall).
 pub fn distributed_mst(g: &Graph) -> (Vec<EdgeId>, SimReport) {
-    distributed_mst_with(g, RoundEngine::Sequential)
-}
-
-/// [`distributed_mst`] on an explicit [`RoundEngine`].
-///
-/// # Panics
-///
-/// Panics if the graph is disconnected (the protocol would stall).
-pub fn distributed_mst_with(g: &Graph, engine: RoundEngine) -> (Vec<EdgeId>, SimReport) {
     assert!(
         decss_graphs::algo::is_connected(g),
         "distributed MST needs a connected graph"
@@ -223,8 +213,7 @@ pub fn distributed_mst_with(g: &Graph, engine: RoundEngine) -> (Vec<EdgeId>, Sim
             best: None,
             done: false,
         }
-    })
-    .with_engine(engine);
+    });
     let phases = (g.n() as f64).log2().ceil() as u64 + 2;
     let report = net.run((2 * n + 5) * phases.max(1) + 4);
     let mut edges: Vec<EdgeId> = Vec::new();

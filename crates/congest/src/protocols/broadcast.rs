@@ -1,6 +1,5 @@
 //! Tree topology bookkeeping plus root-to-all broadcast over a tree.
 
-use crate::engine::RoundEngine;
 use crate::message::Message;
 use crate::metrics::SimReport;
 use crate::network::{Network, NodeLogic, RoundCtx};
@@ -108,23 +107,12 @@ impl NodeLogic for BcastNode {
 /// Returns each vertex's received value and the metrics; takes exactly
 /// `depth` propagation rounds.
 pub fn broadcast(g: &Graph, overlay: &TreeOverlay, value: u64) -> (Vec<u64>, SimReport) {
-    broadcast_with(g, overlay, value, RoundEngine::Sequential)
-}
-
-/// [`broadcast`] on an explicit [`RoundEngine`].
-pub fn broadcast_with(
-    g: &Graph,
-    overlay: &TreeOverlay,
-    value: u64,
-    engine: RoundEngine,
-) -> (Vec<u64>, SimReport) {
     let mut net = Network::new(g, |v| BcastNode {
         parent: overlay.parent[v.index()],
         children: overlay.children[v.index()].clone(),
         value: (v == overlay.root).then_some(value),
         started: false,
-    })
-    .with_engine(engine);
+    });
     let report = net.run(2 * g.n() as u64 + 4);
     let values = net
         .nodes()

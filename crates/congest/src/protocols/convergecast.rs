@@ -1,7 +1,6 @@
 //! Convergecast: aggregating one word from every vertex to the overlay
 //! root, combining along the way. Takes `depth + O(1)` rounds.
 
-use crate::engine::RoundEngine;
 use crate::message::Message;
 use crate::metrics::SimReport;
 use crate::network::{Network, NodeLogic, RoundCtx};
@@ -72,17 +71,6 @@ impl NodeLogic for CcNode {
 ///
 /// Returns the aggregate and the metrics.
 pub fn convergecast(g: &Graph, overlay: &TreeOverlay, values: &[u64], op: Agg) -> (u64, SimReport) {
-    convergecast_with(g, overlay, values, op, RoundEngine::Sequential)
-}
-
-/// [`convergecast`] on an explicit [`RoundEngine`].
-pub fn convergecast_with(
-    g: &Graph,
-    overlay: &TreeOverlay,
-    values: &[u64],
-    op: Agg,
-    engine: RoundEngine,
-) -> (u64, SimReport) {
     assert_eq!(values.len(), g.n(), "one value per vertex");
     let mut net = Network::new(g, |v| CcNode {
         parent: overlay.parent[v.index()],
@@ -90,8 +78,7 @@ pub fn convergecast_with(
         acc: values[v.index()],
         op,
         sent: false,
-    })
-    .with_engine(engine);
+    });
     let report = net.run(2 * g.n() as u64 + 4);
     (net.node(overlay.root).acc, report)
 }

@@ -9,7 +9,6 @@
 //! pipeline computes them via `decss_tree::HeavyLight`); the protocol is
 //! payload-agnostic chunked transfer with per-edge sequencing.
 
-use crate::engine::RoundEngine;
 use crate::message::{Message, DEFAULT_BANDWIDTH};
 use crate::metrics::SimReport;
 use crate::network::{Network, NodeLogic, RoundCtx};
@@ -73,23 +72,13 @@ pub fn exchange_labels(
     g: &Graph,
     labels: &[Vec<u64>],
 ) -> (Vec<HashMap<VertexId, Vec<u64>>>, SimReport) {
-    exchange_labels_with(g, labels, RoundEngine::Sequential)
-}
-
-/// [`exchange_labels`] on an explicit [`RoundEngine`].
-pub fn exchange_labels_with(
-    g: &Graph,
-    labels: &[Vec<u64>],
-    engine: RoundEngine,
-) -> (Vec<HashMap<VertexId, Vec<u64>>>, SimReport) {
     assert_eq!(labels.len(), g.n(), "one label per vertex");
     let mut net = Network::new(g, |v| ExchangeNode {
         label: labels[v.index()].clone(),
         cursor: 0,
         received: HashMap::new(),
         expected: HashMap::new(),
-    })
-    .with_engine(engine);
+    });
     let max_len = labels.iter().map(|l| l.len()).max().unwrap_or(0);
     let report = net.run((max_len + 8) as u64 * 2 + 8);
     let out = net

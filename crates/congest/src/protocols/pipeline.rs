@@ -5,7 +5,6 @@
 //! takes `depth + k + O(1)` rounds for `k` total items — the pipelining
 //! pattern behind Claim 4.4's "learn one value per segment" step.
 
-use crate::engine::RoundEngine;
 use crate::message::Message;
 use crate::metrics::SimReport;
 use crate::network::{Network, NodeLogic, RoundCtx};
@@ -53,16 +52,6 @@ pub fn collect_items(
     overlay: &TreeOverlay,
     items: &[Vec<u64>],
 ) -> (Vec<u64>, SimReport) {
-    collect_items_with(g, overlay, items, RoundEngine::Sequential)
-}
-
-/// [`collect_items`] on an explicit [`RoundEngine`].
-pub fn collect_items_with(
-    g: &Graph,
-    overlay: &TreeOverlay,
-    items: &[Vec<u64>],
-    engine: RoundEngine,
-) -> (Vec<u64>, SimReport) {
     assert_eq!(items.len(), g.n(), "one item list per vertex");
     let total: usize = items.iter().map(|v| v.len()).sum();
     let mut net = Network::new(g, |v| {
@@ -83,8 +72,7 @@ pub fn collect_items_with(
             },
             is_root,
         }
-    })
-    .with_engine(engine);
+    });
     let report = net.run((2 * g.n() + 2 * total + 8) as u64);
     let mut collected = net.node(overlay.root).collected.clone();
     collected.sort_unstable();

@@ -1,33 +1,75 @@
-//! Engine-equivalence suite: the sharded executor must be bit-identical
-//! to the sequential reference engine — same [`SimReport`]s, same
-//! per-node final states, same protocol outputs — for every ported
-//! protocol, across random graphs and shard counts. This is the contract
-//! that lets every layer above treat `--shards` as a pure performance
-//! knob.
+//! Pins the round engine's semantics: for each of the ten protocols
+//! over eight seeded random graphs, the exact [`SimReport`] and a digest
+//! of the protocol's output, recorded from the per-recipient-`Vec`
+//! sequential engine the counting-sort delivery replaced.
 //!
-//! Determinism hinges on inbox *ordering*: several protocols (BFS parent
-//! adoption, broadcast value pick-up) read `inbox.first()`, so any
-//! reordering of same-round deliveries would change results. The sharded
-//! engine merges per-shard outboxes in shard order precisely to preserve
-//! the sequential sender order; these tests would catch a violation.
+//! Most of these outputs depend on inbox *order*, not just on inbox
+//! contents: BFS adopts the first wave it hears, the flood accumulator
+//! rotates each delivery by the round number, and the pipeline,
+//! downcast, label and segment payloads are reassembled in arrival
+//! order. A delivery that regrouped same-round messages differently
+//! (recipient order, or send order within one inbox) would change a
+//! digest here. The assertion tests at the bottom keep the bandwidth,
+//! incidence and spilled-payload rules pinned on the same engine.
 
-use decss_congest::engine::{AutoRounds, RoundEngine};
 use decss_congest::protocols::broadcast::TreeOverlay;
 use decss_congest::protocols::convergecast::Agg;
 use decss_congest::protocols::{
     bfs, boruvka, broadcast, convergecast, downcast, flood, label_exchange, leader, pipeline,
     segment_scan,
 };
-use decss_congest::{Message, Network, NodeLogic, RoundCtx};
+use decss_congest::{Message, Network, NodeLogic, RoundCtx, SimReport};
 use decss_graphs::{algo, gen, EdgeId, Graph, VertexId};
-use proptest::prelude::*;
 
-const SHARDS: [usize; 4] = [1, 2, 4, 8];
+/// The pinned instances: connected, 2-edge-connected, irregular degrees,
+/// with plenty of equal-distance ties for BFS to break by inbox order.
+const GRAPHS: [(usize, u64); 8] = [
+    (8, 11),
+    (13, 22),
+    (17, 33),
+    (22, 44),
+    (26, 55),
+    (31, 66),
+    (35, 77),
+    (39, 88),
+];
 
-/// A connected, 2-edge-connected random instance: irregular degrees,
-/// plenty of equal-distance ties for BFS to break by inbox order.
-fn random_graph() -> impl Strategy<Value = Graph> {
-    (6usize..40, 0u64..1_000).prop_map(|(n, seed)| gen::gnp_two_ec(n, 0.12, 50, seed))
+fn graph(i: usize) -> Graph {
+    let (n, seed) = GRAPHS[i];
+    gen::gnp_two_ec(n, 0.12, 50, seed)
+}
+
+/// FNV-1a over 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn words(&mut self, ws: impl IntoIterator<Item = u64>) {
+        for w in ws {
+            self.word(w);
+        }
+    }
+
+    /// `None` and `Some(x)` never collide: a tag word precedes the value.
+    fn opt(&mut self, x: Option<u64>) {
+        match x {
+            None => self.word(0),
+            Some(x) => {
+                self.word(1);
+                self.word(x);
+            }
+        }
+    }
 }
 
 fn overlay_of(g: &Graph) -> TreeOverlay {
@@ -66,167 +108,241 @@ fn segmentation(g: &Graph) -> (Vec<Option<VertexId>>, Vec<Option<EdgeId>>, Vec<u
     (parent, parent_edge, seg_of)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn bfs_is_engine_independent(g in random_graph()) {
-        let root = VertexId(1);
-        let (tree, report) = bfs::distributed_bfs(&g, root);
-        for shards in SHARDS {
-            let (t, r) = bfs::distributed_bfs_with(&g, root, RoundEngine::sharded(shards));
-            prop_assert_eq!(r, report, "{} shards", shards);
-            // Parent *choices* (not just distances) must match: they are
-            // decided by inbox order.
-            prop_assert_eq!(&t.parent, &tree.parent, "{} shards", shards);
-            prop_assert_eq!(&t.parent_edge, &tree.parent_edge, "{} shards", shards);
-            prop_assert_eq!(&t.dist, &tree.dist, "{} shards", shards);
-        }
-    }
-
-    #[test]
-    fn boruvka_is_engine_independent(g in random_graph()) {
-        let (edges, report) = boruvka::distributed_mst(&g);
-        for shards in SHARDS {
-            let (e, r) = boruvka::distributed_mst_with(&g, RoundEngine::sharded(shards));
-            prop_assert_eq!(r, report, "{} shards", shards);
-            prop_assert_eq!(&e, &edges, "{} shards", shards);
-        }
-    }
-
-    #[test]
-    fn broadcast_is_engine_independent(g in random_graph()) {
-        let overlay = overlay_of(&g);
-        let (values, report) = broadcast::broadcast(&g, &overlay, 77);
-        for shards in SHARDS {
-            let (v, r) =
-                broadcast::broadcast_with(&g, &overlay, 77, RoundEngine::sharded(shards));
-            prop_assert_eq!(r, report, "{} shards", shards);
-            prop_assert_eq!(&v, &values, "{} shards", shards);
-        }
-    }
-
-    #[test]
-    fn convergecast_is_engine_independent(g in random_graph()) {
-        let overlay = overlay_of(&g);
-        let values: Vec<u64> = (0..g.n() as u64).map(|i| i * 13 % 29).collect();
-        for op in [Agg::Sum, Agg::Min, Agg::Max, Agg::Xor] {
-            let (total, report) = convergecast::convergecast(&g, &overlay, &values, op);
-            for shards in SHARDS {
-                let (t, r) = convergecast::convergecast_with(
-                    &g, &overlay, &values, op, RoundEngine::sharded(shards),
-                );
-                prop_assert_eq!(r, report, "{} shards", shards);
-                prop_assert_eq!(t, total, "{} shards", shards);
+/// Runs protocol `name` on `g`: its (composed) report and output digest.
+fn run_protocol(name: &str, g: &Graph) -> (SimReport, u64) {
+    let mut d = Digest::new();
+    let report = match name {
+        "bfs" => {
+            let (tree, report) = bfs::distributed_bfs(g, VertexId(1));
+            // Parent *choices*, not just distances: they follow inbox order.
+            d.words(tree.parent.iter().map(|p| p.map_or(u64::MAX, |p| p.0 as u64)));
+            d.words(tree.parent_edge.iter().map(|e| e.map_or(u64::MAX, |e| e.0 as u64)));
+            for &dist in &tree.dist {
+                d.opt(dist.map(u64::from));
             }
+            report
         }
-    }
-
-    #[test]
-    fn pipeline_is_engine_independent(g in random_graph()) {
-        let overlay = overlay_of(&g);
-        let items: Vec<Vec<u64>> =
-            (0..g.n()).map(|v| (0..(v % 4) as u64).map(|i| (v as u64) * 10 + i).collect()).collect();
-        let (got, report) = pipeline::collect_items(&g, &overlay, &items);
-        for shards in SHARDS {
-            let (c, r) =
-                pipeline::collect_items_with(&g, &overlay, &items, RoundEngine::sharded(shards));
-            prop_assert_eq!(r, report, "{} shards", shards);
-            prop_assert_eq!(&c, &got, "{} shards", shards);
+        "boruvka" => {
+            let (edges, report) = boruvka::distributed_mst(g);
+            d.words(edges.iter().map(|e| e.0 as u64));
+            report
         }
-    }
-
-    #[test]
-    fn segment_scan_is_engine_independent(g in random_graph()) {
-        let (parent, parent_edge, seg_of) = segmentation(&g);
-        let values: Vec<u64> = (0..g.n() as u64).map(|i| i * 7 % 23).collect();
-        let (results, report) = segment_scan::segment_convergecast(
-            &g, &parent, &parent_edge, &seg_of, &values, Agg::Sum,
-        );
-        for shards in SHARDS {
-            let (res, r) = segment_scan::segment_convergecast_with(
-                &g, &parent, &parent_edge, &seg_of, &values, Agg::Sum,
-                RoundEngine::sharded(shards),
+        "broadcast" => {
+            let (values, report) = broadcast::broadcast(g, &overlay_of(g), 77);
+            d.words(values);
+            report
+        }
+        "convergecast" => {
+            let overlay = overlay_of(g);
+            let values: Vec<u64> = (0..g.n() as u64).map(|i| i * 13 % 29).collect();
+            let mut total = SimReport::default();
+            for op in [Agg::Sum, Agg::Min, Agg::Max, Agg::Xor] {
+                let (acc, report) = convergecast::convergecast(g, &overlay, &values, op);
+                d.word(acc);
+                total = total.then(report);
+            }
+            total
+        }
+        "pipeline" => {
+            let items: Vec<Vec<u64>> = (0..g.n())
+                .map(|v| (0..(v % 4) as u64).map(|i| (v as u64) * 10 + i).collect())
+                .collect();
+            let (got, report) = pipeline::collect_items(g, &overlay_of(g), &items);
+            d.words(got);
+            report
+        }
+        "segment_scan" => {
+            let (parent, parent_edge, seg_of) = segmentation(g);
+            let values: Vec<u64> = (0..g.n() as u64).map(|i| i * 7 % 23).collect();
+            let (results, report) = segment_scan::segment_convergecast(
+                g,
+                &parent,
+                &parent_edge,
+                &seg_of,
+                &values,
+                Agg::Sum,
             );
-            prop_assert_eq!(r, report, "{} shards", shards);
-            prop_assert_eq!(&res, &results, "{} shards", shards);
+            let mut results: Vec<(u32, u64)> = results.into_iter().collect();
+            results.sort_unstable();
+            for (seg, v) in results {
+                d.words([seg as u64, v]);
+            }
+            report
+        }
+        "downcast" => {
+            let items: Vec<u64> = (0..7).collect();
+            let (received, report) = downcast::downcast_items(g, &overlay_of(g), &items);
+            for r in received {
+                d.word(r.len() as u64);
+                d.words(r);
+            }
+            report
+        }
+        "label_exchange" => {
+            let labels: Vec<Vec<u64>> = (0..g.n())
+                .map(|v| (0..(v % 5)).map(|i| (v * 100 + i) as u64).collect())
+                .collect();
+            let (received, report) = label_exchange::exchange_labels(g, &labels);
+            for per_vertex in received {
+                let mut entries: Vec<(VertexId, Vec<u64>)> = per_vertex.into_iter().collect();
+                entries.sort_unstable();
+                d.word(entries.len() as u64);
+                for (from, label) in entries {
+                    d.words([from.0 as u64, label.len() as u64]);
+                    d.words(label);
+                }
+            }
+            report
+        }
+        "leader" => {
+            let (l, report) = leader::elect_leader(g);
+            d.word(l.0 as u64);
+            report
+        }
+        "flood" => {
+            let (accs, report) = flood::gossip_flood(g, 6);
+            d.words(accs);
+            report
+        }
+        other => unreachable!("unknown protocol {other}"),
+    };
+    (report, d.0)
+}
+
+const PROTOCOLS: [&str; 10] = [
+    "bfs",
+    "boruvka",
+    "broadcast",
+    "convergecast",
+    "pipeline",
+    "segment_scan",
+    "downcast",
+    "label_exchange",
+    "leader",
+    "flood",
+];
+
+/// `protocol graph: rounds messages words max-edge-load digest`, one line
+/// per (protocol, graph) pair in [`PROTOCOLS`] × [`GRAPHS`] order.
+const PINS: &str = "\
+bfs 0: 6 16 32 2 0874c73d0c4ebe76
+bfs 1: 6 42 84 2 c6147e173b301536
+bfs 2: 4 66 132 2 1b195c03a115f0db
+bfs 3: 5 100 200 2 aad779b6fe588646
+bfs 4: 6 112 224 2 1fe2c65cf9ee4936
+bfs 5: 5 154 308 2 503171eb38dc68db
+bfs 6: 5 210 420 2 af5b05775d5abba1
+bfs 7: 5 236 472 2 e9a243f4a4698ec0
+boruvka 0: 62 118 238 3 6dc27cb753b1b2a4
+boruvka 1: 123 364 783 3 5e75c376fc7f366a
+boruvka 2: 116 388 815 3 be0c586e02c41dbd
+boruvka 3: 195 785 1695 3 6387b2f60aac5f2c
+boruvka 4: 227 912 1992 3 bff07433cc0679c8
+boruvka 5: 267 1203 2605 3 bcee71d0e8406617
+boruvka 6: 299 1517 3277 3 02be6c8e687024f7
+boruvka 7: 331 1681 3612 3 be3df8cf46d08e04
+broadcast 0: 7 7 14 2 8332fb7f511041a5
+broadcast 1: 10 12 24 2 d5c75d814b8165a8
+broadcast 2: 7 16 32 2 18b3563baa8efd68
+broadcast 3: 12 21 42 2 5dde8c1ac71cd305
+broadcast 4: 9 25 50 2 ee7112b8b0b51245
+broadcast 5: 11 30 60 2 973e87178460dac8
+broadcast 6: 7 34 68 2 97f36ae80a6bb188
+broadcast 7: 15 38 76 2 e943b14ff06e2948
+convergecast 0: 28 28 56 2 24c76e1e977dd965
+convergecast 1: 40 48 96 2 361d699654eb71e0
+convergecast 2: 28 64 128 2 9c0a135c51705aaa
+convergecast 3: 48 84 168 2 cd184ebbb51ed01c
+convergecast 4: 36 100 200 2 98ae188f6df0e05a
+convergecast 5: 44 120 240 2 5c74605f3416346c
+convergecast 6: 28 136 272 2 a241b43de9d58996
+convergecast 7: 60 152 304 2 199508bcbb9cdb59
+pipeline 0: 12 38 76 2 649654c9b046e9f5
+pipeline 1: 14 76 152 2 d47577442a21a49f
+pipeline 2: 26 88 176 2 1ee15c6a87138845
+pipeline 3: 30 151 302 2 0e3c102fe9eb831d
+pipeline 4: 38 168 336 2 ee6106aac7fd5a4f
+pipeline 5: 43 239 478 2 2069dd9258cbedf0
+pipeline 6: 28 173 346 2 334a8711057646ca
+pipeline 7: 58 399 798 2 dcc6dabb54b5d660
+segment_scan 0: 4 7 14 2 aabbcc4b752badb3
+segment_scan 1: 5 12 24 2 7f2a7d4eed26d80c
+segment_scan 2: 5 16 32 2 bdc43fc963c242f9
+segment_scan 3: 6 21 42 2 19f3288e9214c90b
+segment_scan 4: 6 25 50 2 d696ef939e7a6ac6
+segment_scan 5: 6 30 60 2 c274d106f91c384a
+segment_scan 6: 6 34 68 2 2cd2e5c8c7785e8f
+segment_scan 7: 8 38 76 2 9e6cb1123190ae7a
+downcast 0: 13 49 98 2 eb30e248d6b6fb25
+downcast 1: 16 84 168 2 a682e3b1cce18225
+downcast 2: 13 112 224 2 aa9700b2afcfee25
+downcast 3: 18 147 294 2 13b4700003f97525
+downcast 4: 15 175 350 2 c9300d62e1b3e125
+downcast 5: 17 210 420 2 3c9034abcadc6825
+downcast 6: 13 238 476 2 87a5e162cf62d425
+downcast 7: 21 266 532 2 afe3a64bf9994025
+label_exchange 0: 4 26 68 3 949c95bb461581f9
+label_exchange 1: 4 70 182 3 1c16e4b9c3b5bd6a
+label_exchange 2: 4 109 287 3 1455c6644e39e77c
+label_exchange 3: 4 170 452 3 b2ae65c71348b5cf
+label_exchange 4: 4 202 539 3 a65916c0b139522a
+label_exchange 5: 4 261 690 3 0292a60a9bbcac43
+label_exchange 6: 4 369 981 3 61d2d6a2c14d9f3a
+label_exchange 7: 4 413 1100 3 56ee7b65245299e1
+leader 0: 6 48 96 2 a8c7f832281a39c5
+leader 1: 5 109 218 2 a8c7f832281a39c5
+leader 2: 5 170 340 2 a8c7f832281a39c5
+leader 3: 6 292 584 2 a8c7f832281a39c5
+leader 4: 6 365 730 2 a8c7f832281a39c5
+leader 5: 6 489 978 2 a8c7f832281a39c5
+leader 6: 6 608 1216 2 a8c7f832281a39c5
+leader 7: 5 740 1480 2 a8c7f832281a39c5
+flood 0: 7 96 192 2 e78f34fe389a6505
+flood 1: 7 252 504 2 9ffa46492d57c38d
+flood 2: 7 396 792 2 8df38259a6f3b30c
+flood 3: 7 600 1200 2 8a7f038527e6dca1
+flood 4: 7 672 1344 2 e3771afa43e88632
+flood 5: 7 924 1848 2 49a7a76fe39a345f
+flood 6: 7 1260 2520 2 844023931a3c4f7a
+flood 7: 7 1416 2832 2 17ce6167dab76fec
+";
+
+fn render(name: &str, i: usize, report: SimReport, digest: u64) -> String {
+    format!(
+        "{name} {i}: {} {} {} {} {digest:016x}",
+        report.rounds, report.messages, report.words, report.max_edge_load
+    )
+}
+
+#[test]
+fn every_protocol_matches_its_pinned_run() {
+    let mut actual = Vec::new();
+    for name in PROTOCOLS {
+        for i in 0..GRAPHS.len() {
+            let (report, digest) = run_protocol(name, &graph(i));
+            actual.push(render(name, i, report, digest));
         }
     }
-
-    #[test]
-    fn downcast_is_engine_independent(g in random_graph()) {
-        let overlay = overlay_of(&g);
-        let items: Vec<u64> = (0..7).collect();
-        let (received, report) = downcast::downcast_items(&g, &overlay, &items);
-        for shards in SHARDS {
-            let (rec, r) =
-                downcast::downcast_items_with(&g, &overlay, &items, RoundEngine::sharded(shards));
-            prop_assert_eq!(r, report, "{} shards", shards);
-            prop_assert_eq!(&rec, &received, "{} shards", shards);
-        }
-    }
-
-    #[test]
-    fn label_exchange_is_engine_independent(g in random_graph()) {
-        let labels: Vec<Vec<u64>> = (0..g.n())
-            .map(|v| (0..(v % 5)).map(|i| (v * 100 + i) as u64).collect())
-            .collect();
-        let (received, report) = label_exchange::exchange_labels(&g, &labels);
-        for shards in SHARDS {
-            let (rec, r) =
-                label_exchange::exchange_labels_with(&g, &labels, RoundEngine::sharded(shards));
-            prop_assert_eq!(r, report, "{} shards", shards);
-            prop_assert_eq!(&rec, &received, "{} shards", shards);
-        }
-    }
-
-    #[test]
-    fn leader_is_engine_independent(g in random_graph()) {
-        let (leader_v, report) = leader::elect_leader(&g);
-        for shards in SHARDS {
-            let (l, r) = leader::elect_leader_with(&g, RoundEngine::sharded(shards));
-            prop_assert_eq!(r, report, "{} shards", shards);
-            prop_assert_eq!(l, leader_v, "{} shards", shards);
-        }
-    }
-
-    #[test]
-    fn flood_is_engine_independent(g in random_graph()) {
-        let (accs, report) = flood::gossip_flood(&g, 6);
-        for shards in SHARDS {
-            let (a, r) = flood::gossip_flood_with(&g, 6, RoundEngine::sharded(shards));
-            prop_assert_eq!(r, report, "{} shards", shards);
-            prop_assert_eq!(&a, &accs, "{} shards", shards);
-        }
-    }
-
-    /// [`RoundEngine::Auto`] may flip between the sequential loop and
-    /// sharded stretches mid-run (hysteresis on the per-round message
-    /// volume); the flips must be invisible in every protocol output.
-    #[test]
-    fn auto_engine_is_engine_independent(g in random_graph()) {
-        let root = VertexId(1);
-        let (tree, report) = bfs::distributed_bfs(&g, root);
-        let (t, r) = bfs::distributed_bfs_with(&g, root, RoundEngine::Auto);
-        prop_assert_eq!(r, report, "bfs report");
-        prop_assert_eq!(&t.parent, &tree.parent, "bfs parents");
-        prop_assert_eq!(&t.parent_edge, &tree.parent_edge, "bfs parent edges");
-        prop_assert_eq!(&t.dist, &tree.dist, "bfs distances");
-
-        let (edges, report) = boruvka::distributed_mst(&g);
-        let (e, r) = boruvka::distributed_mst_with(&g, RoundEngine::Auto);
-        prop_assert_eq!(r, report, "boruvka report");
-        prop_assert_eq!(&e, &edges, "boruvka edges");
-
-        let (accs, report) = flood::gossip_flood(&g, 6);
-        let (a, r) = flood::gossip_flood_with(&g, 6, RoundEngine::Auto);
-        prop_assert_eq!(r, report, "flood report");
-        prop_assert_eq!(&a, &accs, "flood accumulators");
-    }
+    let pinned: Vec<&str> = PINS.lines().collect();
+    let diverged: Vec<String> = actual
+        .iter()
+        .zip(pinned.iter().copied().chain(std::iter::repeat("<missing>")))
+        .filter(|(a, p)| a != p)
+        .map(|(a, p)| format!("  got  {a}\n  want {p}"))
+        .collect();
+    assert!(
+        diverged.is_empty() && pinned.len() == actual.len(),
+        "{} of {} protocol runs diverged from their pins:\n{}\nfull table:\n{}",
+        diverged.len(),
+        actual.len(),
+        diverged.join("\n"),
+        actual.join("\n")
+    );
 }
 
 /// A node that answers every delivery with two targeted replies: heavy
-/// `send`-path (exact per-edge accounting) traffic with per-node state.
+/// `send`-path (exact per-edge accounting) traffic with per-node state
+/// that folds in the order of its inbox.
 struct Echo {
     seen: u64,
     budget: u32,
@@ -249,51 +365,34 @@ impl NodeLogic for Echo {
     }
 }
 
-/// Per-node *states* (not just protocol outputs) must match across all
-/// engines, including under targeted-send accounting.
-#[test]
-fn per_node_states_match_across_engines() {
-    for seed in 0..6 {
-        let g = gen::gnp_two_ec(33, 0.15, 40, seed);
-        let mut seq = Network::new(&g, |v| Echo { seen: v.0 as u64, budget: 3 });
-        let seq_report = seq.run(100);
-        for shards in SHARDS {
-            let mut net = Network::new(&g, |v| Echo { seen: v.0 as u64, budget: 3 })
-                .with_engine(RoundEngine::sharded(shards));
-            let report = net.run(100);
-            assert_eq!(report, seq_report, "seed {seed}, {shards} shards");
-            for ((v, a), (_, b)) in net.nodes().zip(seq.nodes()) {
-                assert_eq!(a.seen, b.seen, "seed {seed}, {shards} shards, vertex {v}");
-                assert_eq!(a.budget, b.budget, "seed {seed}, {shards} shards, vertex {v}");
-            }
-        }
-    }
-}
+/// Pinned per-node *states* (not just protocol outputs) under
+/// targeted-send accounting.
+const ECHO_PINS: &str = "\
+echo 0: 5 157 314 2 714ba814fd140128
+echo 1: 5 163 326 2 9dadc6f79a130644
+echo 2: 5 167 334 2 c86359bc218019dd
+echo 3: 5 161 322 2 d32ec79c03125018
+echo 4: 5 154 308 2 3747d812882c7174
+echo 5: 5 171 342 2 ce469e30cb53c6ed
+";
 
-/// Forced-flip Auto run: thresholds tuned so the gossip burst crosses
-/// `enter` (sharded stretch engages) and the tail falls below `exit`
-/// (control hands back to the sequential loop mid-protocol). Per-node
-/// states across the flip must match the sequential engine exactly —
-/// including the in-flight messages handed over at each boundary.
 #[test]
-fn auto_engine_flips_mid_run_without_observable_effect() {
+fn per_node_states_match_their_pins() {
+    let mut actual = Vec::new();
     for seed in 0..6 {
         let g = gen::gnp_two_ec(33, 0.15, 40, seed);
-        let mut seq = Network::new(&g, |v| Echo { seen: v.0 as u64, budget: 3 });
-        let seq_report = seq.run(100);
         let mut net = Network::new(&g, |v| Echo { seen: v.0 as u64, budget: 3 });
-        let report = AutoRounds::new(3).with_thresholds(24, 6).run(&mut net, 100);
-        assert_eq!(report, seq_report, "seed {seed}");
-        for ((v, a), (_, b)) in net.nodes().zip(seq.nodes()) {
-            assert_eq!(a.seen, b.seen, "seed {seed}, vertex {v}");
-            assert_eq!(a.budget, b.budget, "seed {seed}, vertex {v}");
+        let report = net.run(100);
+        let mut d = Digest::new();
+        for (_, node) in net.nodes() {
+            d.words([node.seen, node.budget as u64]);
         }
+        actual.push(render("echo", seed as usize, report, d.0));
     }
+    assert_eq!(actual.join("\n"), ECHO_PINS.trim_end(), "echo states diverged");
 }
 
-/// A protocol-level bandwidth hog: the assertion must fire on the
-/// sharded engine exactly as on the sequential one, surfacing from the
-/// worker thread with the original message.
+/// A protocol-level bandwidth hog on the targeted-send path.
 struct Hog;
 
 impl NodeLogic for Hog {
@@ -311,9 +410,9 @@ impl NodeLogic for Hog {
 
 #[test]
 #[should_panic(expected = "bandwidth exceeded")]
-fn sharded_engine_enforces_bandwidth() {
+fn targeted_sends_enforce_bandwidth() {
     let g = gen::cycle(24, 1, 0);
-    let mut net = Network::new(&g, |_| Hog).with_engine(RoundEngine::sharded(4));
+    let mut net = Network::new(&g, |_| Hog);
     net.run(10);
 }
 
@@ -334,21 +433,13 @@ impl NodeLogic for BurstHog {
 
 #[test]
 #[should_panic(expected = "bandwidth exceeded")]
-fn sequential_burst_path_enforces_bandwidth() {
+fn burst_path_enforces_bandwidth() {
     let g = gen::cycle(8, 1, 0);
     let mut net = Network::new(&g, |_| BurstHog);
     net.run(10);
 }
 
-#[test]
-#[should_panic(expected = "bandwidth exceeded")]
-fn sharded_burst_path_enforces_bandwidth() {
-    let g = gen::cycle(8, 1, 0);
-    let mut net = Network::new(&g, |_| BurstHog).with_engine(RoundEngine::sharded(3));
-    net.run(10);
-}
-
-/// Sending over a non-incident edge must be rejected by a sharded worker.
+/// Sending over a non-incident edge is a protocol bug.
 struct Liar;
 
 impl NodeLogic for Liar {
@@ -361,31 +452,35 @@ impl NodeLogic for Liar {
 
 #[test]
 #[should_panic(expected = "non-incident")]
-fn sharded_engine_rejects_non_incident_sends() {
+fn non_incident_sends_are_rejected() {
     let g = gen::cycle(6, 1, 0);
-    let mut net = Network::new(&g, |_| Liar).with_engine(RoundEngine::sharded(2));
+    let mut net = Network::new(&g, |_| Liar);
     net.run(10);
 }
 
-/// Multi-round chunked transfers (labels longer than a round's budget)
-/// must agree across engines.
+/// Multi-round chunked transfers: labels longer than a round's budget.
 #[test]
-fn chunked_label_transfer_matches() {
+fn chunked_label_transfer_matches_its_pin() {
     let g = gen::gnp_two_ec(20, 0.2, 10, 11);
     let labels: Vec<Vec<u64>> = (0..g.n())
         .map(|v| (0..6).map(|i| (v * 7 + i) as u64).collect())
         .collect();
-    let (seq, seq_report) = label_exchange::exchange_labels(&g, &labels);
-    for shards in SHARDS {
-        let (sh, r) =
-            label_exchange::exchange_labels_with(&g, &labels, RoundEngine::sharded(shards));
-        assert_eq!(r, seq_report, "{shards} shards");
-        assert_eq!(sh, seq, "{shards} shards");
+    let (received, report) = label_exchange::exchange_labels(&g, &labels);
+    // Every neighbour's full label arrives intact.
+    for v in g.vertices() {
+        for &(_, w) in g.neighbors(v) {
+            assert_eq!(received[v.index()][&w], labels[w.index()], "{w} -> {v}");
+        }
     }
+    assert_eq!(
+        report.to_string(),
+        "5 rounds, 312 messages, 858 words, max edge load 3"
+    );
 }
 
 /// A node that ships one wide (heap-spilled) message under a raised
-/// bandwidth budget; spilled payloads must survive the shard exchange.
+/// bandwidth budget; spilled payloads must survive delivery intact and
+/// in order.
 struct Wide {
     got: Vec<u64>,
 }
@@ -403,18 +498,29 @@ impl NodeLogic for Wide {
 }
 
 #[test]
-fn spilled_payloads_match_across_engines() {
+fn spilled_payloads_match_their_pin() {
     let g = gen::gnp_two_ec(18, 0.25, 10, 4);
-    let mut seq = Network::new(&g, |_| Wide { got: Vec::new() }).with_bandwidth(8);
-    let seq_report = seq.run(10);
-    for shards in SHARDS {
-        let mut net = Network::new(&g, |_| Wide { got: Vec::new() })
-            .with_bandwidth(8)
-            .with_engine(RoundEngine::sharded(shards));
-        let report = net.run(10);
-        assert_eq!(report, seq_report, "{shards} shards");
-        for ((v, a), (_, b)) in net.nodes().zip(seq.nodes()) {
-            assert_eq!(a.got, b.got, "{shards} shards, vertex {v}");
+    let mut net = Network::new(&g, |_| Wide { got: Vec::new() }).with_bandwidth(8);
+    let report = net.run(10);
+    let mut d = Digest::new();
+    for (v, node) in net.nodes() {
+        // One whole six-word payload per incident edge.
+        assert_eq!(node.got.len(), 6 * g.neighbors(v).len(), "vertex {v}");
+        for payload in node.got.chunks(6) {
+            let base = payload[0];
+            assert!(
+                payload.iter().zip(base..).all(|(&w, x)| w == x),
+                "vertex {v}: {payload:?}"
+            );
         }
+        d.word(node.got.len() as u64);
+        d.words(node.got.iter().copied());
     }
+    assert_eq!(
+        render("wide", 0, report, d.0),
+        WIDE_PIN,
+        "spilled payload run diverged"
+    );
 }
+
+const WIDE_PIN: &str = "wide 0: 2 120 840 7 eec234be99d1cd09";

@@ -38,14 +38,12 @@
 //! `incremental_equivalence` suite pins this across randomized update
 //! sequences, forced fallbacks, and dirty-workspace reuse.
 
-use crate::setcover::parallel_greedy_tap;
 use crate::shortcut::{
     measure_level_radii, part_radius_ws, steiner_into, LevelRadii, ShortcutQuality,
 };
 use crate::tools::ScTools;
-use crate::twoecss::{NotTwoEdgeConnected, ShortcutConfig, ShortcutResult};
+use crate::twoecss::{augment, NotTwoEdgeConnected, ShortcutConfig, ShortcutResult};
 use crate::workspace::ShortcutWorkspace;
-use decss_congest::ledger::RoundLedger;
 use decss_graphs::algo::{self, BfsTree, UnionFind};
 use decss_graphs::fingerprint::FingerprintAcc;
 use decss_graphs::{EdgeId, Graph, VertexId, Weight};
@@ -671,15 +669,14 @@ fn update_structural(
 }
 
 /// The back half of `shortcut_two_ecss_with` — set cover + assembly —
-/// over the retained front half. Mirrors the fresh pipeline's charges
-/// and output assembly exactly.
+/// over the retained front half, through the same
+/// [`crate::twoecss::augment`] the fresh pipeline ends in.
 fn solve_from_state(
     g: &Graph,
     state: &SolvedState,
     config: &ShortcutConfig,
     ws: &mut ShortcutWorkspace,
 ) -> Result<ShortcutResult, NotTwoEdgeConnected> {
-    ws.ensure(g);
     let tools = ScTools::from_parts(
         g,
         &state.tree,
@@ -688,27 +685,7 @@ fn solve_from_state(
         state.level_quality.clone(),
         state.bfs_depth,
     );
-    let mut ledger = RoundLedger::new();
-    ledger.charge("sc.mst", tools.pass_cost());
-    let cover = parallel_greedy_tap(&tools, &config.setcover, &mut ledger, ws)
-        .ok_or(NotTwoEdgeConnected)?;
-    let mst_edges = state.tree_ids.clone();
-    let mst_weight = g.weight_of(mst_edges.iter().copied());
-    let mut edges = mst_edges;
-    edges.extend(cover.chosen.iter().copied());
-    edges.sort_unstable();
-    debug_assert!(algo::two_edge_connected_in(g, edges.iter().copied()));
-    Ok(ShortcutResult {
-        edges,
-        mst_weight,
-        augmentation_weight: cover.weight,
-        measured_sc: tools.measured_sc(),
-        level_quality: tools.level_quality.clone(),
-        pass_cost: tools.pass_cost(),
-        ledger,
-        repetitions: cover.repetitions,
-        fallbacks: cover.fallbacks,
-    })
+    augment(g, &tools, config, ws)
 }
 
 #[cfg(test)]

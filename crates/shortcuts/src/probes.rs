@@ -25,15 +25,9 @@ use crate::tools::ScTools;
 use crate::workspace::ShortcutWorkspace;
 use decss_congest::ledger::RoundLedger;
 use decss_congest::protocols::convergecast::Agg;
-use decss_congest::ShardPool;
 use decss_graphs::{EdgeId, VertexId};
 use rand::rngs::StdRng;
 use rand::Rng;
-
-/// Below this many items a pooled map runs sequentially: the per-item
-/// work (one LCA lookup, a handful of adds) is too cheap to amortise a
-/// thread spawn.
-pub(crate) const POOL_MIN_ITEMS: usize = 2048;
 
 /// Lemma 5.4: whether each tree edge (indexed by child vertex) is
 /// covered by `set`. Randomized; correct w.h.p. (no false "covered" is
@@ -128,38 +122,6 @@ pub fn marked_cover_counts_into(
     }));
 }
 
-/// [`marked_cover_counts_into`] with the per-candidate arithmetic
-/// fanned out over `pool`. The ancestors' sum (which consumes the
-/// ledger charge) stays sequential; only the pure `M_u + M_v − 2·M_w`
-/// map parallelises, so the result is bit-identical at any pool size.
-#[allow(clippy::too_many_arguments)]
-pub fn marked_cover_counts_pool(
-    tools: &ScTools<'_>,
-    candidates: &[EdgeId],
-    lcas: &[VertexId],
-    marked: &[bool],
-    ledger: &mut RoundLedger,
-    pool: &ShardPool,
-    ws: &mut ShortcutWorkspace,
-    out: &mut Vec<u32>,
-) {
-    if pool.is_sequential() || candidates.len() < POOL_MIN_ITEMS {
-        return marked_cover_counts_into(tools, candidates, lcas, marked, ledger, ws, out);
-    }
-    let n = tools.tree.n();
-    assert_eq!(marked.len(), n);
-    assert_eq!(lcas.len(), candidates.len());
-    let ShortcutWorkspace { val_a, val_b, .. } = ws;
-    val_a.clear();
-    val_a.extend((0..n).map(|vi| u64::from(marked[vi])));
-    tools.ancestors_sum_into(val_a, Agg::Sum, ledger, val_b);
-    let sums: &[u64] = val_b;
-    *out = pool.map_indexed(candidates.len(), |i| {
-        let e = tools.graph.edge(candidates[i]);
-        (sums[e.u.index()] + sums[e.v.index()] - 2 * sums[lcas[i].index()]) as u32
-    });
-}
-
 /// For each tree edge (child vertex), how many edges of `set` cover it:
 /// `Σ_{x ∈ subtree} inc(x) − 2 · Σ_{x ∈ subtree} lca_count(x)`.
 pub fn path_load(tools: &ScTools<'_>, set: &[EdgeId], ledger: &mut RoundLedger) -> Vec<u32> {
@@ -214,23 +176,6 @@ pub fn candidate_lcas(tools: &ScTools<'_>, edges: &[EdgeId]) -> Vec<VertexId> {
             tools.lca(e.u, e.v)
         })
         .collect()
-}
-
-/// [`candidate_lcas`] fanned out over `pool` (each LCA is an
-/// independent label computation, so the chunked map is bit-identical
-/// to the sequential sweep).
-pub fn candidate_lcas_pool(
-    tools: &ScTools<'_>,
-    edges: &[EdgeId],
-    pool: &ShardPool,
-) -> Vec<VertexId> {
-    if pool.is_sequential() || edges.len() < POOL_MIN_ITEMS {
-        return candidate_lcas(tools, edges);
-    }
-    pool.map_indexed(edges.len(), |i| {
-        let e = tools.graph.edge(edges[i]);
-        tools.lca(e.u, e.v)
-    })
 }
 
 #[cfg(test)]

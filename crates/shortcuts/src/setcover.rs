@@ -44,7 +44,6 @@ use crate::tools::ScTools;
 use crate::workspace::ShortcutWorkspace;
 use decss_congest::ledger::RoundLedger;
 use decss_congest::protocols::convergecast::Agg;
-use decss_congest::ShardPool;
 use decss_graphs::{EdgeId, VertexId, Weight};
 use decss_tree::{EulerTour, RootedTree};
 use rand::rngs::StdRng;
@@ -419,7 +418,7 @@ impl SparseCover {
 
 /// Cover counts (and cost-effectiveness ratios) for the `active`
 /// candidates under the current `marked` set: the ancestors' sum of
-/// [`probes::marked_cover_counts_pool`] plus the same per-candidate
+/// [`probes::marked_cover_counts_into`] plus the same per-candidate
 /// `M_u + M_v − 2·M_lca` map, restricted to the candidates that can
 /// still enter a bucket.
 #[allow(clippy::too_many_arguments)]
@@ -431,7 +430,6 @@ fn counts_over_active(
     active: &[u32],
     weights: &[f64],
     ledger: &mut RoundLedger,
-    pool: &ShardPool,
     ws: &mut ShortcutWorkspace,
     counts: &mut [u32],
     ce: &mut [f64],
@@ -442,53 +440,26 @@ fn counts_over_active(
     val_a.extend((0..n).map(|vi| u64::from(marked[vi])));
     tools.ancestors_sum_into(val_a, Agg::Sum, ledger, val_b);
     let sums: &[u64] = val_b;
-    if pool.is_sequential() || active.len() < probes::POOL_MIN_ITEMS {
-        for &i in active {
-            let i = i as usize;
-            let e = tools.graph.edge(candidates[i]);
-            let c = (sums[e.u.index()] + sums[e.v.index()] - 2 * sums[lcas[i].index()]) as u32;
-            counts[i] = c;
-            ce[i] = c as f64 / weights[i].max(1.0);
-        }
-    } else {
-        let vals = pool.map_indexed(active.len(), |k| {
-            let i = active[k] as usize;
-            let e = tools.graph.edge(candidates[i]);
-            (sums[e.u.index()] + sums[e.v.index()] - 2 * sums[lcas[i].index()]) as u32
-        });
-        for (k, &i) in active.iter().enumerate() {
-            let i = i as usize;
-            counts[i] = vals[k];
-            ce[i] = vals[k] as f64 / weights[i].max(1.0);
-        }
+    for &i in active {
+        let i = i as usize;
+        let e = tools.graph.edge(candidates[i]);
+        let c = (sums[e.u.index()] + sums[e.v.index()] - 2 * sums[lcas[i].index()]) as u32;
+        counts[i] = c;
+        ce[i] = c as f64 / weights[i].max(1.0);
     }
 }
 
 /// Runs the parallel greedy cover: returns `None` if some tree edge is
 /// uncoverable (graph not 2-edge-connected). `ws` provides the flat
 /// scratch every probe pass runs on.
+///
+/// The chosen edges, weight, repetition and fallback counts are
+/// bit-identical to the dense reference driver
+/// ([`crate::naive::greedy_tap_reference`]).
 pub fn parallel_greedy_tap(
     tools: &ScTools<'_>,
     config: &SetCoverConfig,
     ledger: &mut RoundLedger,
-    ws: &mut ShortcutWorkspace,
-) -> Option<SetCoverResult> {
-    parallel_greedy_tap_pool(tools, config, ledger, &ShardPool::sequential(), ws)
-}
-
-/// [`parallel_greedy_tap`] with the pure per-candidate maps (LCA
-/// precomputation, cover-count arithmetic) fanned out over `pool`.
-///
-/// The RNG-consuming paths (fingerprint draws, sampling) and every
-/// aggregate sweep stay sequential, so the chosen edges, weight,
-/// repetition and fallback counts are bit-identical at any pool size —
-/// and bit-identical to the dense reference driver
-/// ([`crate::naive::greedy_tap_reference`]).
-pub fn parallel_greedy_tap_pool(
-    tools: &ScTools<'_>,
-    config: &SetCoverConfig,
-    ledger: &mut RoundLedger,
-    pool: &ShardPool,
     ws: &mut ShortcutWorkspace,
 ) -> Option<SetCoverResult> {
     let g = tools.graph;
@@ -499,7 +470,7 @@ pub fn parallel_greedy_tap_pool(
     let weights: Vec<f64> = candidates.iter().map(|&e| g.weight(e) as f64).collect();
     // Candidate LCAs depend only on the tree: compute them once instead
     // of re-deriving them from the heavy-light labels every phase.
-    let cand_lca: Vec<VertexId> = probes::candidate_lcas_pool(tools, &candidates, pool);
+    let cand_lca: Vec<VertexId> = probes::candidate_lcas(tools, &candidates);
 
     tools.charge_hld_setup(ledger);
 
@@ -565,7 +536,6 @@ pub fn parallel_greedy_tap_pool(
                     &active,
                     &weights,
                     ledger,
-                    pool,
                     ws,
                     &mut counts,
                     &mut ce,

@@ -1,7 +1,7 @@
 //! The public entry point of the second algorithm (Theorem 1.2):
 //! `O(log n)`-approximate weighted 2-ECSS in `Õ(SC(G) + D)` rounds.
 
-use crate::setcover::{parallel_greedy_tap, parallel_greedy_tap_pool, SetCoverConfig};
+use crate::setcover::{parallel_greedy_tap, SetCoverConfig};
 use crate::tools::ScTools;
 use crate::workspace::{ShortcutWorkspace, WorkspaceArena};
 use decss_congest::ledger::RoundLedger;
@@ -106,37 +106,13 @@ pub fn shortcut_two_ecss_with(
         return Err(NotTwoEdgeConnected);
     }
     let tree = RootedTree::mst(g);
-    ws.ensure(g);
     let tools = ScTools::new_with(g, &tree, ws);
-    let mut ledger = RoundLedger::new();
-    // MST cost (Kutten–Peleg; actually O(SC) with shortcuts, charge the
-    // cheaper of the two shapes).
-    ledger.charge("sc.mst", tools.pass_cost());
-    let cover = parallel_greedy_tap(&tools, &config.setcover, &mut ledger, ws)
-        .ok_or(NotTwoEdgeConnected)?;
-
-    let mst_edges: Vec<EdgeId> = g.edge_ids().filter(|&e| tree.is_tree_edge(e)).collect();
-    let mst_weight = g.weight_of(mst_edges.iter().copied());
-    let mut edges = mst_edges;
-    edges.extend(cover.chosen.iter().copied());
-    edges.sort_unstable();
-    debug_assert!(algo::two_edge_connected_in(g, edges.iter().copied()));
-    Ok(ShortcutResult {
-        edges,
-        mst_weight,
-        augmentation_weight: cover.weight,
-        measured_sc: tools.measured_sc(),
-        level_quality: tools.level_quality.clone(),
-        pass_cost: tools.pass_cost(),
-        ledger,
-        repetitions: cover.repetitions,
-        fallbacks: cover.fallbacks,
-    })
+    augment(g, &tools, config, ws)
 }
 
-/// [`shortcut_two_ecss_with`] with intra-solve parallelism: the
-/// per-part/per-level shortcut measurements and the pure per-candidate
-/// set-cover maps fan out over `pool`, each chunk on its own `arena`
+/// [`shortcut_two_ecss_with`] with the per-level shortcut measurements
+/// of [`ScTools::new_pooled`] fanned out over `pool`, each chunk of
+/// levels on its own `arena` slot; the set cover runs on the primary
 /// slot.
 ///
 /// **Determinism contract:** for any pool (any worker or thread count,
@@ -155,22 +131,31 @@ pub fn shortcut_two_ecss_pool(
     pool: &ShardPool,
     arena: &mut WorkspaceArena,
 ) -> Result<ShortcutResult, NotTwoEdgeConnected> {
-    if pool.is_sequential() {
-        return shortcut_two_ecss_with(g, config, arena.primary());
-    }
     if !algo::is_two_edge_connected(g) {
         return Err(NotTwoEdgeConnected);
     }
     let tree = RootedTree::mst(g);
-    arena.primary().ensure(g);
     let tools = ScTools::new_pooled(g, &tree, pool, arena);
+    augment(g, &tools, config, arena.primary())
+}
+
+/// The back half of the pipeline, shared by the fresh, pooled and
+/// incremental paths: charges the MST, runs the set cover on `ws` and
+/// assembles the result around the MST edges of `tools.tree`.
+pub(crate) fn augment(
+    g: &Graph,
+    tools: &ScTools<'_>,
+    config: &ShortcutConfig,
+    ws: &mut ShortcutWorkspace,
+) -> Result<ShortcutResult, NotTwoEdgeConnected> {
     let mut ledger = RoundLedger::new();
+    // MST cost (Kutten–Peleg; actually O(SC) with shortcuts, charge the
+    // cheaper of the two shapes).
     ledger.charge("sc.mst", tools.pass_cost());
     let cover =
-        parallel_greedy_tap_pool(&tools, &config.setcover, &mut ledger, pool, arena.primary())
-            .ok_or(NotTwoEdgeConnected)?;
+        parallel_greedy_tap(tools, &config.setcover, &mut ledger, ws).ok_or(NotTwoEdgeConnected)?;
 
-    let mst_edges: Vec<EdgeId> = g.edge_ids().filter(|&e| tree.is_tree_edge(e)).collect();
+    let mst_edges: Vec<EdgeId> = g.edge_ids().filter(|&e| tools.tree.is_tree_edge(e)).collect();
     let mst_weight = g.weight_of(mst_edges.iter().copied());
     let mut edges = mst_edges;
     edges.extend(cover.chosen.iter().copied());

@@ -112,15 +112,15 @@ impl ShortcutWorkspace {
 
 /// A bank of [`ShortcutWorkspace`] slots for pooled solves.
 ///
-/// A pooled shortcut pipeline splits its work (parts, levels) into
-/// chunks, and every chunk needs its *own* epoch-stamped scratch —
+/// A pooled shortcut pipeline splits its hierarchy levels into chunks,
+/// and every chunk needs its *own* epoch-stamped scratch —
 /// stamps from two chunks must never share an array. The arena owns one
 /// slot per potential chunk, grown on demand and reused across solves
 /// (a dirty slot is fine: every user starts with an epoch bump).
 ///
-/// Slot 0 is the **primary** slot: sequential code paths (and all
-/// merge steps) run on it, so a pool of one worker touches exactly the
-/// same scratch a plain [`ShortcutWorkspace`] caller would.
+/// Slot 0 is the **primary** slot: the first chunk and every sequential
+/// code path (the set cover) run on it, so a pool of one worker touches
+/// exactly the same scratch a plain [`ShortcutWorkspace`] caller would.
 #[derive(Clone, Debug, Default)]
 pub struct WorkspaceArena {
     slots: Vec<ShortcutWorkspace>,

@@ -38,8 +38,7 @@ fn instance(family: &str, n: usize, seed: u64) -> Graph {
         "outerplanar" => gen::outerplanar_disk(n.max(3), 1.0, 24, seed),
         "hard-sqrt" => gen::hard_sqrt_two_ec(n.max(16), 24, seed),
         // Random chords over a Hamiltonian cycle (expected degree ~10):
-        // exercises partitions with many small parts (the counting
-        // paths of the pooled α/β merges).
+        // exercises partitions with many small parts.
         "gnp" => {
             let n = n.max(8);
             gen::gnp_two_ec(n, (8.0 / n as f64).min(0.5), 24, seed)
@@ -125,9 +124,8 @@ proptest! {
     }
 }
 
-/// The headline sizes (release-CI only): big enough that the pooled
-/// per-part chunks and the `POOL_MIN_ITEMS` candidate fan-out both
-/// actually engage.
+/// The headline sizes (release-CI only): hierarchies deep enough that
+/// every pool size splits the levels into several chunks.
 #[test]
 #[ignore = "large instance; run in release CI via --include-ignored"]
 fn pooled_pipeline_matches_sequential_at_4096() {

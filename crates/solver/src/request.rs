@@ -56,11 +56,11 @@ pub struct SolveRequest {
     pub seed: Option<u64>,
     /// Intra-solve parallelism hint: `0` = sequential. The session arms
     /// a [`ShardPool`](decss_shortcuts::ShardPool) with this many
-    /// logical workers (threads capped at the host's cores), the
-    /// shortcut pipeline fans its per-part/per-level work out over it,
-    /// and message-level simulation backends shard their rounds by it.
-    /// Results are bit-identical at any value — only wall time changes.
-    /// The effective pool is echoed into the report's `params` line.
+    /// logical workers (threads capped at the host's cores), and the
+    /// shortcut solver measures its fragment-hierarchy levels over it;
+    /// the other solvers ignore it. Results are bit-identical at any
+    /// value — only wall time changes. The report's `params` line
+    /// echoes the hint, not the host-dependent pool it ran on.
     pub shards: usize,
     /// CONGEST bandwidth in `O(log n)`-bit words per edge per round
     /// (default 1, the model the ledger charges). Reports scale their

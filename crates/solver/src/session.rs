@@ -156,9 +156,7 @@ impl SolverSession {
                 *e = surviving[e.index()];
             }
         }
-        // Echo the *effective* pool (post core-cap clamping) next to the
-        // requested knobs, so a report shows what actually ran.
-        report.params = format!("{} pool={}", req.params_echo(), self.cx.pool());
+        report.params = req.params_echo();
         report.n = instance.n();
         report.m = instance.m();
         report.bandwidth = req.bandwidth;
@@ -199,7 +197,7 @@ impl SolverSession {
                 let mut report = shortcut_report(res, req);
                 report.valid =
                     algo::two_edge_connected_in(inst.graph(), report.edges.iter().copied());
-                report.params = format!("{} pool={}", req.params_echo(), self.cx.pool());
+                report.params = req.params_echo();
                 report.n = inst.graph().n();
                 report.m = inst.graph().m();
                 report.bandwidth = req.bandwidth;
@@ -329,7 +327,7 @@ mod tests {
         assert!(report.rounds.unwrap() > 0);
         assert!(report.wall_ms >= 0.0);
         assert!(report.params.contains("epsilon=0.25"));
-        assert!(report.params.contains("pool=1w/1t"), "{}", report.params);
+        assert!(report.params.contains("shards=0"), "{}", report.params);
     }
 
     #[test]
@@ -345,7 +343,28 @@ mod tests {
         assert_eq!(seq.weight, pooled.weight);
         assert_eq!(seq.level_quality, pooled.level_quality);
         assert!(pooled.params.contains("shards=4"), "{}", pooled.params);
-        assert!(pooled.params.contains("pool=4w/"), "{}", pooled.params);
+    }
+
+    #[test]
+    fn reports_do_not_depend_on_the_host_pool() {
+        // The pool cap is host- and service-dependent (cores divided by
+        // queue workers); the same `shards=4` request must render the
+        // same params and the same JSON row under any cap.
+        let g = gen::grid(8, 8, 20, 7);
+        let req = SolveRequest::new("shortcut").seed(3).shards(4);
+        let rows: Vec<(String, String)> = [1, 2]
+            .map(|cap| {
+                let mut session = SolverSession::new();
+                session.context().set_pool_cap(cap);
+                let report = session.solve(&g, &req).unwrap();
+                let json = report.to_json();
+                let wall = format!("\"wall_ms\": {:.3}", report.wall_ms);
+                assert!(json.contains(&wall), "{json}");
+                (report.params, json.replace(&wall, "\"wall_ms\": 0"))
+            })
+            .into();
+        assert_eq!(rows[0], rows[1]);
+        assert!(!rows[0].0.contains("pool"), "{}", rows[0].0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! decss algorithms [--names]                                    # list the solver registry
 //! decss gen        --family grid --n 100 --seed 7 [--max-weight 64]  # writes the format to stdout
 //! decss verify     --input net.graph --edges 0,3,7,...          # check a 2-ECSS
-//! decss simulate   --input net.graph --protocol bfs [--shards 8|auto] [--root 0] [--bursts 8]
+//! decss simulate   --input net.graph --protocol bfs [--root 0] [--bursts 8]
 //! decss scenario   --families grid,hard-sqrt --sizes 1000,10000 [--seeds 0,1] \
 //!                  [--algorithms shortcut,improved] [--epsilon 0.25] [--max-weight 64] \
 //!                  [--bandwidth B] [--fail-edges K] [--shards K] [--workers K] \
@@ -49,7 +49,7 @@
 //! unreadable files, a failed drain audit, chaos violations).
 
 use decss::congest::protocols::{bfs, boruvka, flood, leader};
-use decss::congest::{RoundEngine, SimReport};
+use decss::congest::SimReport;
 use decss::graphs::{algo, io, EdgeId, Graph, VertexId};
 use decss::net::jobs::{self, FileAccess};
 use decss::net::trace::{self, Arrival, GenConfig, ReplayConfig};
@@ -74,7 +74,7 @@ fn main() -> ExitCode {
             eprintln!("  decss algorithms [--names]");
             eprintln!("  decss gen        --family NAME --n N [--seed S] [--max-weight W]");
             eprintln!("  decss verify     --input FILE --edges ID[,ID...]");
-            eprintln!("  decss simulate   --input FILE --protocol flood|bfs|leader|mst [--shards K|auto] [--root R] [--bursts B]");
+            eprintln!("  decss simulate   --input FILE --protocol flood|bfs|leader|mst [--root R] [--bursts B]");
             eprintln!("  decss scenario   --families F[,F...] --sizes N[,N...] [--seeds S[,S...]] [--algorithms NAME[,...]] [--epsilon E] [--max-weight W] [--bandwidth B] [--fail-edges K] [--shards K] [--workers K] [--cache-cap N] [--out FILE]");
             eprintln!("  decss serve      --jobs FILE.json [--workers K] [--cache-cap N] [--queue-cap N] [--out FILE] [--keep-going] [--restore PATH] [--snapshot PATH]");
             eprintln!("  decss serve      --trace FILE.jsonl [--workers K] [--cache-cap N] [--queue-cap N] [--pace] [--out FILE]");
@@ -191,25 +191,10 @@ fn algorithms(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// Runs a message-level protocol on the round simulator and prints the
-/// metrics. `--shards K` selects the multi-threaded sharded engine and
-/// `--shards auto` the adaptive one, which shards only rounds whose
-/// message volume amortises the barrier cost (bit-identical results
-/// either way; pure performance knobs on multicore hosts).
+/// metrics.
 fn simulate(args: &[String]) -> Result<ExitCode, String> {
     let g = load(args)?;
     let protocol = flag(args, "--protocol").ok_or("--protocol NAME is required")?;
-    let engine = match flag(args, "--shards") {
-        None | Some("0") => RoundEngine::Sequential,
-        Some("auto") => RoundEngine::Auto,
-        Some(s) => {
-            let shards: usize = s.parse().map_err(|_| format!("bad --shards {s}"))?;
-            if shards == 0 {
-                RoundEngine::Sequential
-            } else {
-                RoundEngine::sharded(shards)
-            }
-        }
-    };
     let root: u32 = parse_flag(args, "--root", 0)?;
     if root as usize >= g.n() {
         return Err(format!("--root {root} out of range (n = {})", g.n()));
@@ -219,20 +204,20 @@ fn simulate(args: &[String]) -> Result<ExitCode, String> {
     let start = std::time::Instant::now();
     let (summary, report): (String, SimReport) = match protocol {
         "flood" => {
-            let (accs, report) = flood::gossip_flood_with(&g, bursts, engine);
+            let (accs, report) = flood::gossip_flood(&g, bursts);
             let digest = accs.iter().fold(0u64, |a, &b| a.rotate_left(1) ^ b);
             (format!("flood digest: {digest:#018x}"), report)
         }
         "bfs" => {
-            let (tree, report) = bfs::distributed_bfs_with(&g, VertexId(root), engine);
+            let (tree, report) = bfs::distributed_bfs(&g, VertexId(root));
             (format!("bfs depth: {}", tree.depth()), report)
         }
         "leader" => {
-            let (leader_v, report) = leader::elect_leader_with(&g, engine);
+            let (leader_v, report) = leader::elect_leader(&g);
             (format!("leader: {leader_v}"), report)
         }
         "mst" => {
-            let (edges, report) = boruvka::distributed_mst_with(&g, engine);
+            let (edges, report) = boruvka::distributed_mst(&g);
             (
                 format!(
                     "mst edges: {} (weight {})",
@@ -250,7 +235,6 @@ fn simulate(args: &[String]) -> Result<ExitCode, String> {
     };
     let elapsed = start.elapsed();
     println!("protocol: {protocol}");
-    println!("engine: {engine}");
     println!("{summary}");
     println!("report: {report}");
     println!("wall-clock: {:.3} ms", elapsed.as_secs_f64() * 1e3);
