@@ -4,7 +4,9 @@
 //!
 //! * `construct` — per-level shortcut measurement over the fragment
 //!   hierarchy (partitions + both constructions), the dominant cost of
-//!   `ScTools::new`; `naive` rows run the old `HashMap`-based path.
+//!   `ScTools::new`; `naive` rows run the old `HashMap`-based path, and
+//!   `ladder/200000` is a BFS tree 50,001 hops deep, where a Steiner
+//!   climb that runs past each part's common ancestor costs seconds.
 //! * `fragments` — the hierarchy build alone (flat arena vs per-spine
 //!   `Vec`s).
 //! * `cover_engine` — four aggregate invocations on a prebuilt engine
@@ -59,7 +61,10 @@ struct Prepared {
 }
 
 fn prepare(family: &str, n: usize) -> Prepared {
-    let g = instance(family, n);
+    prepare_graph(instance(family, n))
+}
+
+fn prepare_graph(g: Graph) -> Prepared {
     let tree = RootedTree::mst(&g);
     let euler = EulerTour::new(&tree);
     let hld = HeavyLight::new(&tree, &euler);
@@ -111,6 +116,11 @@ fn bench_construct(c: &mut Criterion) {
             b.iter(|| flat_level_quality(p, &mut ws))
         });
     }
+    let p = prepare_graph(gen::ladder(100_000, 64, 1));
+    let mut ws = ShortcutWorkspace::new(&p.g);
+    group.bench_with_input(BenchmarkId::new(format!("ladder/{}", p.g.n()), "flat"), &p, |b, p| {
+        b.iter(|| flat_level_quality(p, &mut ws))
+    });
     group.finish();
 }
 

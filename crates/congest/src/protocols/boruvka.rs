@@ -10,10 +10,11 @@
 //! at most `ceil(log2 n) + 1` phases.
 //!
 //! This is the classic `O(n log n)`-round Borůvka, not Kutten–Peleg's
-//! `O(D + √n log* n)` algorithm; it exists as the *genuine message-level*
-//! MST substrate (see DESIGN.md §3) and to certify that the tree the
-//! logical pipeline uses (Kruskal with id tie-breaking) is the one a real
-//! distributed execution computes.
+//! `O(D + √n log* n)` algorithm. The solvers build their MST centrally
+//! and charge it to the round ledger as Kutten–Peleg; this protocol is
+//! the *genuine message-level* MST beside that charge, and it certifies
+//! that the tree the logical pipeline uses (Kruskal with id
+//! tie-breaking) is the one a real distributed execution computes.
 
 use crate::message::Message;
 use crate::metrics::SimReport;

@@ -1,8 +1,11 @@
 //! Round accounting for the first algorithm.
 //!
 //! The logical implementation charges every communication primitive to a
-//! [`RoundLedger`] using the instance's measured structural parameters
-//! (see DESIGN.md §3). Operation names used across the phases:
+//! [`RoundLedger`] using the instance's measured structural parameters:
+//! the algorithm's answers are computed centrally, and each primitive
+//! costs the rounds its distributed form takes by the paper's bound. The
+//! message-level protocols of `decss-congest` calibrate these formulas
+//! (`tests/calibration.rs`). Operation names used across the phases:
 //!
 //! | op | meaning | cost |
 //! |----|---------|------|

@@ -6,9 +6,11 @@
 //! before the set-cover driver runs: the `(weight, id)`-sorted edge
 //! order behind the MST, the rooted MST itself, the heavy-light
 //! decomposition and fragment hierarchy, the BFS backbone, and — per
-//! hierarchy level — both constructions' per-part radii and `α` values
-//! (the inputs [`crate::shortcut::best_shortcut_ws`] folds into one
-//! [`ShortcutQuality`]). The reverse index from a delta edge to the
+//! hierarchy level — both constructions' per-part radii and `α` values,
+//! measured in full (a fresh [`crate::shortcut::best_shortcut_ws`]
+//! stops the tree-restricted pass once it cannot win, but a delta may
+//! need any part's radius) and folded into one [`ShortcutQuality`] by
+//! the same tie rule. The reverse index from a delta edge to the
 //! damage it does is `FragmentHierarchy::spine_of`: every vertex lies
 //! on exactly one spine, a part's radius depends on the graph only
 //! through its *intra-part* adjacency, so edge `(u, v)` dirties a part

@@ -30,9 +30,11 @@
 //! * [`setcover`] — the parallel greedy set-cover driver (Section 5.1),
 //! * [`twoecss`] — the public entry point [`shortcut_two_ecss`], and
 //!   [`shortcut_two_ecss_pool`], which measures the fragment-hierarchy
-//!   levels in parallel over a [`ShardPool`] (the one phase whose
-//!   fan-out pays: `ScTools` builds ≥1.3× faster at two threads on a
-//!   10⁵-vertex grid), byte-identical at any pool size,
+//!   levels in parallel over a [`ShardPool`], byte-identical at any pool
+//!   size. The fan-out no longer pays now that each level skips the
+//!   tree-restricted pass once it cannot win: at two threads the
+//!   `ScTools` build is 1.15× faster on a 10⁵-vertex grid, and pooled
+//!   whole solves are no faster (0.96–1.05× the sequential speed),
 //! * [`dynamic`] — incremental re-solves on dynamic graphs: a
 //!   [`DynamicInstance`] retains the solved pipeline state and absorbs
 //!   edge deltas, re-running only the damaged parts and levels while

@@ -79,8 +79,10 @@ pub fn best_shortcut(g: &Graph, bfs: &BfsTree, partition: &Partition) -> Shortcu
     }
 }
 
-/// The minimal BFS-tree subtree spanning `part` (pre-rewrite reference;
-/// see [`crate::shortcut::steiner_edges`] for the algorithm notes).
+/// The minimal BFS-tree subtree spanning `part` (pre-rewrite reference:
+/// climbs every vertex to the BFS root, then discards the chain above
+/// the common ancestor; [`crate::shortcut::steiner_edges`] stops at the
+/// ancestor and keeps the same edges in the same order).
 pub fn steiner_edges(bfs: &BfsTree, part: &[VertexId]) -> Vec<EdgeId> {
     let mut visited: HashSet<VertexId> = HashSet::new();
     let mut edges: Vec<(VertexId, EdgeId)> = Vec::new(); // (child, edge)

@@ -1,7 +1,10 @@
 //! Shortcut constructions with *measured* quality.
 //!
-//! Two constructions are implemented (DESIGN.md §3 documents this as a
-//! substitution for the planar-specific constructions of [12, 18]):
+//! Two general constructions stand in for the planar-specific
+//! constructions of [12, 18]. Theorem 1.2's round bound is stated in the
+//! quality `α + β` of the shortcut the network admits, so the pipeline
+//! builds constructions that work on every graph and charges the
+//! quality it measures:
 //!
 //! * **Threshold-BFS** — parts with at least `√n` vertices receive the
 //!   whole BFS tree as their `H_i`; smaller parts receive nothing. At
@@ -15,8 +18,14 @@
 //!   shortcut family of Haeupler–Izumi–Zuzic; on low-treewidth and
 //!   outerplanar-like networks its measured congestion stays near-`D`.
 //!
-//! [`best_shortcut`] evaluates both and returns the better
-//! `(α + β)`-quality one; the experiments report the measured values.
+//! [`best_shortcut`] returns the better `(α + β)`-quality one, and
+//! threshold-BFS wins ties. It measures threshold-BFS first and runs
+//! the tree-restricted pass only while that pass can still win: the
+//! running maximum Steiner edge load and the running maximum part
+//! radius are lower bounds of its final `α` and `β`, so the pass stops
+//! once they add up to threshold-BFS's cost. The result is the one a
+//! full evaluation of both gives. [`threshold_bfs`], [`tree_restricted`]
+//! and the incremental path's per-part radii stay full evaluations.
 //!
 //! The hot paths run on epoch-stamped flat scratch from a
 //! [`ShortcutWorkspace`] (per-part BFS over CSR slices, Steiner unions
@@ -59,7 +68,24 @@ impl ShortcutQuality {
     }
 }
 
-/// Builds both constructions for `partition` and returns the better one.
+/// The one tie rule: threshold-BFS at cost `thr` is kept unless
+/// tree-restricted at cost `tr` is strictly cheaper.
+fn threshold_wins(thr: u64, tr: u64) -> bool {
+    thr <= tr
+}
+
+/// The better of the two constructions' qualities under
+/// [`threshold_wins`].
+fn better(thr: ShortcutQuality, tr: ShortcutQuality) -> ShortcutQuality {
+    if threshold_wins(thr.cost(), tr.cost()) {
+        thr
+    } else {
+        tr
+    }
+}
+
+/// The better of the two constructions for `partition` (threshold-BFS
+/// on ties), measuring tree-restricted only as far as it can still win.
 ///
 /// `bfs` must be a spanning BFS tree of `g` (the shortcut backbone).
 pub fn best_shortcut(g: &Graph, bfs: &BfsTree, partition: &Partition) -> ShortcutQuality {
@@ -74,12 +100,10 @@ pub fn best_shortcut_ws(
     partition: &Partition,
     ws: &mut ShortcutWorkspace,
 ) -> ShortcutQuality {
-    let a = threshold_bfs_ws(g, bfs, partition, ws);
-    let b = tree_restricted_ws(g, bfs, partition, ws);
-    if a.cost() <= b.cost() {
-        a
-    } else {
-        b
+    let thr = threshold_bfs_ws(g, bfs, partition, ws);
+    match tree_restricted_pass(g, bfs, partition, ws, thr.cost(), |_| {}) {
+        Some(tr) => better(thr, tr),
+        None => thr,
     }
 }
 
@@ -94,6 +118,18 @@ pub fn threshold_bfs_ws(
     bfs: &BfsTree,
     partition: &Partition,
     ws: &mut ShortcutWorkspace,
+) -> ShortcutQuality {
+    threshold_pass(g, bfs, partition, ws, |_| {})
+}
+
+/// The threshold-BFS pass, handing every part's radius to `radius` in
+/// part order.
+fn threshold_pass(
+    g: &Graph,
+    bfs: &BfsTree,
+    partition: &Partition,
+    ws: &mut ShortcutWorkspace,
+    mut radius: impl FnMut(u32),
 ) -> ShortcutQuality {
     ws.ensure(g);
     let threshold = (g.n() as f64).sqrt().ceil() as usize;
@@ -114,7 +150,9 @@ pub fn threshold_bfs_ws(
         } else {
             None
         };
-        beta = beta.max(part_radius_ws(g, partition, pi, hi_epoch, ws));
+        let r = part_radius_ws(g, partition, pi, hi_epoch, ws);
+        radius(r);
+        beta = beta.max(r);
     }
     // Each big part loads every BFS-tree edge exactly once, so the
     // maximum tree-edge load is the number of big parts; induced edges
@@ -139,10 +177,32 @@ pub fn tree_restricted_ws(
     partition: &Partition,
     ws: &mut ShortcutWorkspace,
 ) -> ShortcutQuality {
+    tree_restricted_pass(g, bfs, partition, ws, u64::MAX, |_| {})
+        .expect("an unbounded pass runs to the end")
+}
+
+/// The tree-restricted pass: loads each part's Steiner tree and
+/// measures its radius, handing every radius to `radius` in part order.
+///
+/// Returns `None` as soon as the construction cannot beat a rival of
+/// cost `bound` under [`threshold_wins`]. The running maximum edge load
+/// plus one and the running maximum radius only grow towards the final
+/// `α` and `β`, so their sum bounds the final cost from below; the test
+/// runs after each part's load and after its radius. `u64::MAX` never
+/// stops the pass.
+fn tree_restricted_pass(
+    g: &Graph,
+    bfs: &BfsTree,
+    partition: &Partition,
+    ws: &mut ShortcutWorkspace,
+    bound: u64,
+    mut radius: impl FnMut(u32),
+) -> Option<ShortcutQuality> {
     ws.ensure(g);
     let load_epoch = ws.bump();
-    ws.touched.clear();
+    let mut max_load = 0u32;
     let mut beta = 0u32;
+    let loses = |max_load: u32, beta: u32| threshold_wins(bound, max_load as u64 + 1 + beta as u64);
     for pi in 0..partition.len() {
         let part = partition.part(pi);
         let hi_epoch = steiner_into(bfs, part, ws);
@@ -153,13 +213,24 @@ pub fn tree_restricted_ws(
             } else {
                 ws.lstamp[e] = load_epoch;
                 ws.eload[e] = 1;
-                ws.touched.push(ws.hi_buf[k]);
             }
+            max_load = max_load.max(ws.eload[e]);
         }
-        beta = beta.max(part_radius_ws(g, partition, pi, Some(hi_epoch), ws));
+        if loses(max_load, beta) {
+            return None;
+        }
+        let r = part_radius_ws(g, partition, pi, Some(hi_epoch), ws);
+        radius(r);
+        beta = beta.max(r);
+        if loses(max_load, beta) {
+            return None;
+        }
     }
-    let alpha = ws.touched.iter().map(|e| ws.eload[e.index()]).max().unwrap_or(0) + 1;
-    ShortcutQuality { alpha, beta, scheme: ShortcutScheme::TreeRestricted }
+    Some(ShortcutQuality {
+        alpha: max_load + 1,
+        beta,
+        scheme: ShortcutScheme::TreeRestricted,
+    })
 }
 
 /// Per-part measurement of one level: both constructions' radii plus
@@ -178,82 +249,39 @@ pub(crate) struct LevelRadii {
 }
 
 impl LevelRadii {
-    /// Recombines exactly as [`best_shortcut_ws`] does: threshold-BFS
-    /// wins ties.
+    /// Recombines under the same tie rule as [`best_shortcut_ws`].
     pub fn quality(&self) -> ShortcutQuality {
-        let a = ShortcutQuality {
+        let thr = ShortcutQuality {
             alpha: self.thr_alpha,
             beta: self.thr.iter().copied().max().unwrap_or(0),
             scheme: ShortcutScheme::ThresholdBfs,
         };
-        let b = ShortcutQuality {
+        let tr = ShortcutQuality {
             alpha: self.tr_alpha,
             beta: self.tr.iter().copied().max().unwrap_or(0),
             scheme: ShortcutScheme::TreeRestricted,
         };
-        if a.cost() <= b.cost() {
-            a
-        } else {
-            b
-        }
+        better(thr, tr)
     }
 }
 
-/// [`best_shortcut_ws`] with the per-part radii captured instead of
-/// folded away — same loops, same `α` formulas, so
-/// `measure_level_radii(..).quality() == best_shortcut_ws(..)` (pinned
-/// by a unit test below).
+/// Both constructions in full, with the per-part radii captured instead
+/// of folded away. Unlike [`best_shortcut_ws`] the tree-restricted pass
+/// never stops early (a later delta may need any part's radius), so it
+/// costs more, but `measure_level_radii(..).quality() ==
+/// best_shortcut_ws(..)` (pinned by a unit test below).
 pub(crate) fn measure_level_radii(
     g: &Graph,
     bfs: &BfsTree,
     partition: &Partition,
     ws: &mut ShortcutWorkspace,
 ) -> LevelRadii {
-    ws.ensure(g);
-    // Threshold-BFS pass (mirrors threshold_bfs_ws).
-    let threshold = (g.n() as f64).sqrt().ceil() as usize;
-    let tree_epoch = ws.bump();
-    let mut tree_edges = 0u32;
-    for e in bfs.tree_edges() {
-        ws.estamp[e.index()] = tree_epoch;
-        tree_edges += 1;
-    }
     let mut thr = Vec::with_capacity(partition.len());
-    let mut big_parts = 0u32;
-    for pi in 0..partition.len() {
-        let hi_epoch = if partition.part(pi).len() >= threshold {
-            big_parts += 1;
-            Some(tree_epoch)
-        } else {
-            None
-        };
-        thr.push(part_radius_ws(g, partition, pi, hi_epoch, ws));
-    }
-    let thr_alpha = if big_parts > 0 && tree_edges > 0 {
-        big_parts + 1
-    } else {
-        1
-    };
-    // Tree-restricted pass (mirrors tree_restricted_ws).
-    let load_epoch = ws.bump();
-    ws.touched.clear();
     let mut tr = Vec::with_capacity(partition.len());
-    for pi in 0..partition.len() {
-        let part = partition.part(pi);
-        let hi_epoch = steiner_into(bfs, part, ws);
-        for k in 0..ws.hi_buf.len() {
-            let e = ws.hi_buf[k].index();
-            if ws.lstamp[e] == load_epoch {
-                ws.eload[e] += 1;
-            } else {
-                ws.lstamp[e] = load_epoch;
-                ws.eload[e] = 1;
-                ws.touched.push(ws.hi_buf[k]);
-            }
-        }
-        tr.push(part_radius_ws(g, partition, pi, Some(hi_epoch), ws));
-    }
-    let tr_alpha = ws.touched.iter().map(|e| ws.eload[e.index()]).max().unwrap_or(0) + 1;
+    let thr_alpha = threshold_pass(g, bfs, partition, ws, |r| thr.push(r)).alpha;
+    let tr_alpha = tree_restricted_pass(g, bfs, partition, ws, u64::MAX, |r| tr.push(r))
+        .expect("an unbounded pass runs to the end")
+        .alpha;
     LevelRadii { thr, tr, thr_alpha, tr_alpha }
 }
 
@@ -280,66 +308,75 @@ pub fn steiner_edges(bfs: &BfsTree, part: &[VertexId]) -> Vec<EdgeId> {
 /// Builds the Steiner union into `ws.hi_buf`, stamping the kept edges
 /// in `ws.estamp` with the returned epoch (the `H_i` membership test
 /// used by [`part_radius_ws`]).
+///
+/// The common ancestor is stamped first, so each vertex's climb stops
+/// there or at a vertex an earlier climb visited: the edges come out in
+/// part order, each climb bottom-up.
 pub(crate) fn steiner_into(bfs: &BfsTree, part: &[VertexId], ws: &mut ShortcutWorkspace) -> u32 {
-    // Union of root paths, pruned at already-visited vertices.
+    let hi_epoch = ws.bump();
+    ws.hi_buf.clear();
+    let Some(top) = common_ancestor(bfs, part, ws) else {
+        return hi_epoch;
+    };
     let visit_epoch = ws.bump();
-    ws.steiner_buf.clear();
+    ws.vstamp[top.index()] = visit_epoch;
     for &v in part {
         let mut cur = v;
         while ws.vstamp[cur.index()] != visit_epoch {
             ws.vstamp[cur.index()] = visit_epoch;
-            match (bfs.parent[cur.index()], bfs.parent_edge[cur.index()]) {
-                (Some(p), Some(e)) => {
-                    ws.steiner_buf.push((cur, e));
-                    cur = p;
-                }
-                _ => break, // reached the BFS root
-            }
-        }
-    }
-    // Per-parent child counts inside the union, plus the unique child
-    // while there is only one (what the chain-pruning walk follows).
-    let cc_epoch = ws.bump();
-    for k in 0..ws.steiner_buf.len() {
-        let (c, e) = ws.steiner_buf[k];
-        let p = bfs.parent[c.index()].expect("edge has a parent").index();
-        if ws.ccstamp[p] == cc_epoch {
-            ws.child_count[p] += 1;
-        } else {
-            ws.ccstamp[p] = cc_epoch;
-            ws.child_count[p] = 1;
-            ws.only_child[p] = (c, e);
-        }
-    }
-    // Part membership (the visited stamps are no longer needed).
-    let part_epoch = ws.bump();
-    for &v in part {
-        ws.vstamp[v.index()] = part_epoch;
-    }
-    // Walk down from the BFS root along single chains of non-part
-    // vertices, discarding those edges — the tail above the part's
-    // common ancestor.
-    let discard_epoch = ws.bump();
-    let mut cur = bfs.root;
-    loop {
-        let ci = cur.index();
-        if ws.vstamp[ci] == part_epoch || ws.ccstamp[ci] != cc_epoch || ws.child_count[ci] != 1 {
-            break;
-        }
-        let (child, e) = ws.only_child[ci];
-        ws.estamp[e.index()] = discard_epoch;
-        cur = child;
-    }
-    let hi_epoch = ws.bump();
-    ws.hi_buf.clear();
-    for k in 0..ws.steiner_buf.len() {
-        let (_, e) = ws.steiner_buf[k];
-        if ws.estamp[e.index()] != discard_epoch {
+            let (Some(p), Some(e)) = (bfs.parent[cur.index()], bfs.parent_edge[cur.index()]) else {
+                unreachable!("every climb stops at the stamped common ancestor");
+            };
             ws.estamp[e.index()] = hi_epoch;
             ws.hi_buf.push(e);
+            cur = p;
         }
     }
     hi_epoch
+}
+
+/// The BFS-tree common ancestor of `part` (`None` if it is empty), by a
+/// stamped pairwise fold.
+///
+/// The stamps mark the tree paths from the vertices folded so far up to
+/// the running ancestor `top`, so every stamped vertex lies in `top`'s
+/// subtree. The next vertex climbs until it meets a stamp (it is inside
+/// that subtree) or reaches `top`'s depth; if it meets nothing, it and
+/// `top` climb to the point where their paths meet, and `top` moves
+/// there. Every step stamps a fresh vertex of the final Steiner tree,
+/// so the fold is linear in its size.
+fn common_ancestor(
+    bfs: &BfsTree,
+    part: &[VertexId],
+    ws: &mut ShortcutWorkspace,
+) -> Option<VertexId> {
+    let (&first, rest) = part.split_first()?;
+    let depth = |v: VertexId| bfs.dist[v.index()].expect("the BFS tree spans the part");
+    let up = |v: VertexId| bfs.parent[v.index()].expect("the part shares the BFS root");
+    let epoch = ws.bump();
+    let mut top = first;
+    ws.vstamp[top.index()] = epoch;
+    for &v in rest {
+        let mut cur = v;
+        while ws.vstamp[cur.index()] != epoch && depth(cur) > depth(top) {
+            ws.vstamp[cur.index()] = epoch;
+            cur = up(cur);
+        }
+        if ws.vstamp[cur.index()] == epoch {
+            continue;
+        }
+        while depth(top) > depth(cur) {
+            top = up(top);
+            ws.vstamp[top.index()] = epoch;
+        }
+        while cur != top {
+            ws.vstamp[cur.index()] = epoch;
+            cur = up(cur);
+            top = up(top);
+            ws.vstamp[top.index()] = epoch;
+        }
+    }
+    Some(top)
 }
 
 /// Eccentricity of part `pi`'s first vertex (its leader) inside
@@ -485,13 +522,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn measured_radii_recombine_to_best_shortcut() {
-        for (g, seed) in [
-            (gen::gnp_two_ec(96, 0.06, 24, 11), 11),
-            (gen::grid(9, 9, 16, 4), 4),
-            (gen::outerplanar_disk(80, 1.0, 24, 7), 7),
-        ] {
+    /// The families the pipeline runs on, small enough for a debug run,
+    /// at two seeds. Tree-restricted wins some of their levels (gnp,
+    /// powerlaw and expander at seed 100), some by exactly one
+    /// (adversarial at seed 1), so the bounded pass also runs to its end
+    /// and an off-by-one in its stop test would show.
+    fn corpus() -> Vec<(String, Graph)> {
+        let mut out = Vec::new();
+        for seed in [1, 100] {
+            let mut add = |name: &str, g: Graph| out.push((format!("{name} seed {seed}"), g));
+            add("grid", gen::grid(20, 20, 24, seed));
+            add("hard-sqrt", gen::hard_sqrt_two_ec(400, 24, seed));
+            add("outerplanar", gen::outerplanar_disk(400, 1.0, 24, seed));
+            add("lollipop", gen::lollipop_two_ec(200, 24, seed));
+            add("ladder", gen::ladder(200, 24, seed));
+            add("gnp", gen::gnp_two_ec(400, 0.015, 24, seed));
+            for family in gen::ATLAS_ALL {
+                let n = if family == gen::AtlasFamily::NearClique {
+                    96
+                } else {
+                    400
+                };
+                add(family.label(), family.instance(n, 24, seed));
+            }
+        }
+        out
+    }
+
+    /// Runs `check` on every fragment-hierarchy level of every corpus
+    /// graph, one workspace per graph shared by all the checks.
+    fn for_each_level(
+        mut check: impl FnMut(&str, &Graph, &BfsTree, &Partition, &mut ShortcutWorkspace),
+    ) {
+        for (name, g) in corpus() {
             let tree = decss_tree::RootedTree::mst(&g);
             let euler = decss_tree::EulerTour::new(&tree);
             let hld = decss_tree::HeavyLight::new(&tree, &euler);
@@ -500,15 +563,36 @@ mod tests {
             let mut ws = ShortcutWorkspace::new(&g);
             for d in 0..h.num_levels() {
                 let p = h.level_partition(&g, d);
-                let radii = measure_level_radii(&g, &bfs, &p, &mut ws);
-                assert_eq!(
-                    radii.quality(),
-                    best_shortcut_ws(&g, &bfs, &p, &mut ws),
-                    "seed {seed} level {d}"
-                );
-                assert_eq!(radii.thr.len(), p.len());
-                assert_eq!(radii.tr.len(), p.len());
+                check(&format!("{name} level {d}"), &g, &bfs, &p, &mut ws);
             }
         }
+    }
+
+    #[test]
+    fn bounded_best_shortcut_equals_the_full_evaluation() {
+        let (mut tree_restricted_wins, mut wins_by_one) = (0, 0);
+        for_each_level(|at, g, bfs, p, ws| {
+            let thr = threshold_bfs_ws(g, bfs, p, ws);
+            let tr = tree_restricted_ws(g, bfs, p, ws);
+            // Threshold-BFS wins ties.
+            let full = if thr.cost() <= tr.cost() { thr } else { tr };
+            if full.scheme == ShortcutScheme::TreeRestricted {
+                tree_restricted_wins += 1;
+                wins_by_one += usize::from(tr.cost() + 1 == thr.cost());
+            }
+            assert_eq!(best_shortcut_ws(g, bfs, p, ws), full, "{at}");
+        });
+        assert!(tree_restricted_wins > 0, "no level ran the bounded pass to its end");
+        assert!(wins_by_one > 0, "no level tests the stop bound's edge");
+    }
+
+    #[test]
+    fn measured_radii_recombine_to_best_shortcut() {
+        for_each_level(|at, g, bfs, p, ws| {
+            let radii = measure_level_radii(g, bfs, p, ws);
+            assert_eq!(radii.quality(), best_shortcut_ws(g, bfs, p, ws), "{at}");
+            assert_eq!(radii.thr.len(), p.len());
+            assert_eq!(radii.tr.len(), p.len());
+        });
     }
 }

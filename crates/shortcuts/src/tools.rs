@@ -44,7 +44,8 @@ pub struct ScTools<'a> {
 
 impl<'a> ScTools<'a> {
     /// Builds the tools: BFS backbone, HLD, hierarchy, and per-level
-    /// shortcut quality (both constructions measured, best kept).
+    /// shortcut quality (the better construction, by
+    /// [`best_shortcut_ws`]).
     pub fn new(graph: &'a Graph, tree: &'a RootedTree) -> Self {
         Self::new_with(graph, tree, &mut ShortcutWorkspace::new(graph))
     }

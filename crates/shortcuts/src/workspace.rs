@@ -21,30 +21,20 @@ use decss_graphs::{EdgeId, Graph, VertexId};
 pub struct ShortcutWorkspace {
     /// Monotone epoch counter backing every stamped array.
     epoch: u32,
-    /// Per-vertex stamp (BFS visited, Steiner union membership, part
-    /// membership — one logical set at a time, distinguished by epoch).
+    /// Per-vertex stamp (BFS visited, Steiner union membership — one
+    /// logical set at a time, distinguished by epoch).
     pub(crate) vstamp: Vec<u32>,
     /// Per-vertex BFS distance, valid where `vstamp` carries the
     /// current BFS epoch.
     pub(crate) dist: Vec<u32>,
     /// Flat BFS queue (head index instead of `VecDeque`).
     pub(crate) queue: Vec<VertexId>,
-    /// Per-edge stamp: `H_i` membership / discard marks.
+    /// Per-edge stamp: `H_i` membership.
     pub(crate) estamp: Vec<u32>,
     /// Per-edge shortcut load, valid where `lstamp` is current.
     pub(crate) eload: Vec<u32>,
     /// Stamp array for `eload`.
     pub(crate) lstamp: Vec<u32>,
-    /// Edges touched by the current load accounting (dense max scan).
-    pub(crate) touched: Vec<EdgeId>,
-    /// Per-vertex child count inside the current Steiner union.
-    pub(crate) child_count: Vec<u32>,
-    /// Stamp array for `child_count` / `only_child`.
-    pub(crate) ccstamp: Vec<u32>,
-    /// The unique union child of a vertex while `child_count == 1`.
-    pub(crate) only_child: Vec<(VertexId, EdgeId)>,
-    /// Steiner union edges as `(child, edge)` pairs, in naive order.
-    pub(crate) steiner_buf: Vec<(VertexId, EdgeId)>,
     /// The current part's `H_i` edge list.
     pub(crate) hi_buf: Vec<EdgeId>,
     /// Per-vertex `u64` value buffers for the probe passes.
@@ -80,9 +70,6 @@ impl ShortcutWorkspace {
         if self.vstamp.len() < n {
             self.vstamp.resize(n, 0);
             self.dist.resize(n, 0);
-            self.child_count.resize(n, 0);
-            self.ccstamp.resize(n, 0);
-            self.only_child.resize(n, (VertexId(0), EdgeId(0)));
         }
         if self.estamp.len() < m {
             self.estamp.resize(m, 0);
@@ -102,7 +89,6 @@ impl ShortcutWorkspace {
             self.vstamp.fill(0);
             self.estamp.fill(0);
             self.lstamp.fill(0);
-            self.ccstamp.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;

@@ -112,7 +112,36 @@ proptest! {
     }
 }
 
-/// The n=4096 instances the issue pins (release-CI only: the naive
+proptest! {
+    // A few seeds: the naive oracle is quadratic in the tree depth here.
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// A deep BFS tree (depth ≈ 750), where most parts' common ancestor
+    /// sits far below the root: every part's Steiner edges still come
+    /// out in the naive order, which climbs to the root and discards
+    /// the chain above the ancestor.
+    #[test]
+    fn steiner_edges_match_naive_on_a_deep_ladder(seed in 0u64..1000) {
+        let g = gen::ladder(1_500, 24, seed);
+        let tree = RootedTree::mst(&g);
+        let euler = EulerTour::new(&tree);
+        let hld = HeavyLight::new(&tree, &euler);
+        let bfs = bfs_tree(&g, tree.root());
+        let h = FragmentHierarchy::new(&tree, &hld);
+        for d in 0..h.num_levels() {
+            let partition = h.level_partition(&g, d);
+            for (i, part) in partition.parts().enumerate() {
+                prop_assert_eq!(
+                    decss_shortcuts::shortcut::steiner_edges(&bfs, part),
+                    naive::steiner_edges(&bfs, part),
+                    "steiner_edges at level {}, part {}", d, i
+                );
+            }
+        }
+    }
+}
+
+/// The n=4096 instances (release-CI only: the naive
 /// reference is HashMap-bound and too slow for the debug tier-1 run).
 #[test]
 #[ignore = "large instance; run in release CI via --include-ignored"]

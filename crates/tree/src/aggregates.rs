@@ -16,10 +16,11 @@
 //!   `depth(anc) < depth(v)`, which the sweep turns into a 1-D range
 //!   query.
 //!
-//! The engines are *logically exact* reimplementations; the round ledger
-//! charges `decss_congest::ledger::CostParams::aggregate` per invocation
-//! (see DESIGN.md §3; `decss-congest` sits above this crate, so no
-//! intra-doc link).
+//! The engines are *logically exact* reimplementations: the algorithms
+//! compute their answers centrally and charge each invocation the rounds
+//! the distributed primitive would take,
+//! `decss_congest::ledger::CostParams::aggregate` (`decss-congest` sits
+//! above this crate, so no intra-doc link).
 //!
 //! Layout: the binary-lifting table is one strided `Vec<u32>` (`levels`
 //! rows of `n`), and the Fenwick / segment-tree / lifting scratch the

@@ -1,6 +1,8 @@
-//! Ledger-vs-simulator calibration (the contract behind DESIGN.md §3):
-//! the round formulas charged by the logical pipeline must track genuine
-//! message-level executions on the same instances.
+//! Ledger-vs-simulator calibration. The pipelines compute their answers
+//! centrally and charge each communication primitive to a round ledger
+//! by formula; that is sound only while the formulas track genuine
+//! message-level executions on the same instances, which these tests
+//! check.
 
 use decss::congest::ledger::CostParams;
 use decss::congest::protocols::{bfs, boruvka, broadcast, convergecast, pipeline};
