@@ -23,8 +23,8 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use decss_graphs::{algo, gen, EdgeId, Graph};
 use decss_shortcuts::{
-    mutate, shortcut_two_ecss_with, DynamicInstance, GraphDelta, ShortcutConfig, ShortcutResult,
-    WorkspaceArena,
+    mutate, shortcut_two_ecss, shortcut_two_ecss_with, DynamicInstance, GraphDelta, ShortcutConfig,
+    ShortcutResult, ShortcutWorkspace,
 };
 use decss_tree::RootedTree;
 
@@ -105,8 +105,7 @@ fn delete_batch(g: &Graph, k: usize) -> Vec<GraphDelta> {
 fn assert_matches_fresh(warm: &DynamicInstance, batch: &[GraphDelta], label: &str) {
     let config = ShortcutConfig::default();
     let mutated = mutate(warm.graph(), batch).expect("bench batches are valid");
-    let fresh = shortcut_two_ecss_with(&mutated, &config, WorkspaceArena::new().primary())
-        .expect("bench batches keep the graph 2EC");
+    let fresh = shortcut_two_ecss(&mutated, &config).expect("bench batches keep the graph 2EC");
     let mut inst = warm.clone();
     let (inc, stats) = inst.apply(batch, &config).expect("bench batches keep the graph 2EC");
     let same = |a: &ShortcutResult, b: &ShortcutResult| {
@@ -137,13 +136,13 @@ fn bench_incremental(c: &mut Criterion) {
 
             // The yardstick: what a from-scratch solve costs on a
             // session-style reused workspace.
-            let mut full_arena = WorkspaceArena::for_graph(&g);
+            let mut full_ws = ShortcutWorkspace::new(&g);
             group.bench_with_input(
                 BenchmarkId::new(format!("{family}/{n}"), "full"),
                 &g,
                 |b, g| {
                     b.iter(|| {
-                        shortcut_two_ecss_with(g, &config, full_arena.primary())
+                        shortcut_two_ecss_with(g, &config, &mut full_ws)
                             .expect("bench instances are 2EC")
                     })
                 },

@@ -33,26 +33,35 @@ pub struct BenchEntry {
 pub struct HostMeta {
     /// Available parallelism at record time (`nproc`).
     pub nproc: u32,
-    /// Space-joined `KEY=VALUE` list of `DECSS_*` environment overrides
-    /// active during the run (sampling time, gate knobs, ...), sorted
-    /// by key; empty when none were set.
+    /// Space-joined `KEY=VALUE` list of the `DECSS_*` run conditions
+    /// active during the run (sampling time, gate knobs, ...; not the
+    /// `DECSS_BENCH_JSON` output path), sorted by key; empty when none
+    /// were set.
     pub decss_env: String,
 }
 
 impl HostMeta {
-    /// Captures the current host: core count plus any `DECSS_*`
-    /// environment overrides in effect.
+    /// Captures the current host: core count plus the `DECSS_*` run
+    /// conditions in effect.
     pub fn current() -> Self {
         let nproc = std::thread::available_parallelism().map_or(1, |p| p.get() as u32);
-        let mut overrides: Vec<String> = std::env::vars()
-            .filter(|(k, _)| k.starts_with("DECSS_"))
+        HostMeta { nproc, decss_env: Self::run_conditions(std::env::vars()) }
+    }
+
+    /// Renders the `decss_env` header from environment `(key, value)`
+    /// pairs: every `DECSS_*` variable except `DECSS_BENCH_JSON`, which
+    /// says where the file goes, not how the run went.
+    fn run_conditions(vars: impl IntoIterator<Item = (String, String)>) -> String {
+        let mut conditions: Vec<String> = vars
+            .into_iter()
+            .filter(|(k, _)| k.starts_with("DECSS_") && k != "DECSS_BENCH_JSON")
             // Control characters (a newline in an env value) would break
             // the line-oriented JSON shape; the header is informational,
             // so flatten them to spaces.
             .map(|(k, v)| format!("{k}={}", v.replace(|c: char| c.is_control(), " ")))
             .collect();
-        overrides.sort();
-        HostMeta { nproc, decss_env: overrides.join(" ") }
+        conditions.sort();
+        conditions.join(" ")
     }
 }
 
@@ -237,6 +246,21 @@ mod tests {
         let text = render_with_host("demo", &[meas("a", 1.0)], &host);
         let parsed = parse(&text).unwrap();
         assert_eq!(parsed.host, Some(host));
+    }
+
+    #[test]
+    fn run_conditions_drop_the_output_path() {
+        let vars = [
+            ("DECSS_NOTE", "a\nb"),
+            ("PATH", "/usr/bin"),
+            ("DECSS_BENCH_JSON", "/tmp/fresh.json"),
+            ("DECSS_BENCH_SAMPLE_MS", "5"),
+        ]
+        .map(|(k, v)| (k.to_string(), v.to_string()));
+        assert_eq!(
+            HostMeta::run_conditions(vars),
+            "DECSS_BENCH_SAMPLE_MS=5 DECSS_NOTE=a b"
+        );
     }
 
     #[test]

@@ -14,9 +14,6 @@
 //!   per-round bandwidth budget measured in `O(log n)`-bit *words*
 //!   ([`message::Word`]) and delivering each round's messages by a
 //!   counting sort on the recipient into one contiguous inbox arena,
-//! * [`pool::ShardPool`] — a scoped-thread pool with deterministic
-//!   chunked fan-out, which the shortcut pipeline uses to measure its
-//!   fragment-hierarchy levels in parallel,
 //! * [`metrics::SimReport`] — rounds, message and word counts, and the
 //!   maximum per-edge congestion observed,
 //! * genuine message-level protocols in [`protocols`]: BFS-tree
@@ -44,11 +41,9 @@ pub mod ledger;
 pub mod message;
 pub mod metrics;
 pub mod network;
-pub mod pool;
 pub mod protocols;
 
 pub use ledger::RoundLedger;
 pub use message::{Message, Word, WordVec, DEFAULT_BANDWIDTH};
 pub use metrics::SimReport;
 pub use network::{Network, NodeLogic, RoundCtx};
-pub use pool::ShardPool;

@@ -134,10 +134,10 @@ pub enum FileAccess {
 /// generated one (`"family"` + `"n"`, optional `"seed"` /
 /// `"max_weight"`) or a graph file (`"input"`, subject to `files`) —
 /// and optionally the request knobs `"epsilon"`, `"bandwidth"`,
-/// `"fail_edges"`, `"shards"`, `"deadline_ms"`, and `"deltas"` (an
-/// array of `"rw(edge,weight)"` / `"del(edge)"` / `"ins(u,v,weight)"`
-/// specs mutating the instance before the solve). Identical instance
-/// specs share one in-memory graph.
+/// `"fail_edges"`, `"deadline_ms"`, and `"deltas"` (an array of
+/// `"rw(edge,weight)"` / `"del(edge)"` / `"ins(u,v,weight)"` specs
+/// mutating the instance before the solve). Keys outside the dialect
+/// are ignored. Identical instance specs share one in-memory graph.
 pub fn parse_job_specs(text: &str, files: FileAccess) -> Result<Vec<JobSpec>, String> {
     let mut specs: Vec<JobSpec> = Vec::new();
     let mut graphs: HashMap<String, Arc<Graph>> = HashMap::new();
@@ -201,9 +201,6 @@ pub fn parse_job_line(
     }
     if let Some(k) = num("fail_edges")? {
         req = req.fail_edges(k as u32);
-    }
-    if let Some(s) = num("shards")? {
-        req = req.shards(s as usize);
     }
     if let Some(ms) = num("deadline_ms")? {
         req = req.deadline(Duration::from_millis(ms as u64));
@@ -292,13 +289,12 @@ pub fn job_row(index: usize, spec: &JobSpec, result: &JobResult) -> String {
 }
 
 /// Renders the full batch document: a `"service"` stats header
-/// (counters, hit rate, latency histograms, plus the host's core count
-/// and per-worker pool cap) and the `"jobs"` rows.
+/// (counters, hit rate, latency histograms, plus the host's core count)
+/// and the `"jobs"` rows.
 pub fn report_document(stats: &Stats, rows: &[String]) -> String {
     let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let pool_cap = (nproc / stats.workers.max(1)).max(1);
     format!(
-        "{{\n  \"service\": {{{}, \"nproc\": {nproc}, \"pool_cap\": {pool_cap}}},\n  \"jobs\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"service\": {{{}, \"nproc\": {nproc}}},\n  \"jobs\": [\n{}\n  ]\n}}\n",
         stats.json_fields(),
         rows.join(",\n")
     )
@@ -307,6 +303,7 @@ pub fn report_document(stats: &Stats, rows: &[String]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decss_service::JobKey;
 
     #[test]
     fn network_parsing_denies_input_files() {
@@ -333,6 +330,21 @@ mod tests {
         assert_eq!(
             (specs[0].family.as_str(), specs[0].requested_n, specs[0].seed),
             ("grid", 36, 7)
+        );
+    }
+
+    #[test]
+    fn retired_shards_key_parses_to_the_same_job_key() {
+        // Job files and traces written while requests carried a
+        // `"shards"` hint still parse, and key like the same job
+        // without it.
+        let key = |line: &str| {
+            let spec = &parse_job_specs(line, FileAccess::Denied).unwrap()[0];
+            JobKey::new(&spec.graph, &spec.req)
+        };
+        assert_eq!(
+            key(r#"{"algorithm": "shortcut", "family": "grid", "n": 36, "seed": 7, "shards": 4}"#),
+            key(r#"{"algorithm": "shortcut", "family": "grid", "n": 36, "seed": 7}"#)
         );
     }
 

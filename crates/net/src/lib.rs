@@ -27,7 +27,6 @@ pub mod http;
 pub mod jobs;
 pub mod quota;
 pub mod server;
-pub mod shard;
 pub mod signal;
 pub mod stress;
 pub mod trace;
@@ -38,8 +37,5 @@ pub use http::{HttpError, Limits, Parse, Request};
 pub use jobs::{parse_job_specs, FileAccess, JobSpec};
 pub use quota::{QuotaConfig, QuotaTable};
 pub use server::{NetConfig, NetHandle, NetServer, NetSnapshot, NetSummary, PersistConfig};
-pub use shard::{
-    rendezvous_pick, rendezvous_score, ShardConfig, ShardHandle, ShardServer, ShardSummary,
-};
 pub use stress::{chaos, ChaosReport, StressConfig};
 pub use trace::{Arrival, GenConfig, ReplayConfig, ReplayOutcome, Trace, TraceEvent, TraceHeader};

@@ -712,7 +712,7 @@ fn conn_worker(server: &Arc<NetServer>) {
     }
 }
 
-pub(crate) enum ReadOutcome {
+enum ReadOutcome {
     Request(Request),
     CleanClose,
     Hangup,
@@ -721,22 +721,20 @@ pub(crate) enum ReadOutcome {
     IdleDrain,
 }
 
-/// Reads one request off `stream` under `read_timeout`, polling
-/// `draining` so idle keep-alive connections let go during a drain.
-/// Shared by the serve tier and the shard front tier.
-pub(crate) fn read_request_with(
+/// Reads one request off `stream` under the server's read timeout,
+/// polling its drain flag so idle keep-alive connections let go during
+/// a drain.
+fn read_one_request(
+    server: &NetServer,
     stream: &mut TcpStream,
     buf: &mut Vec<u8>,
     kept_alive: bool,
-    read_timeout: Duration,
-    limits: &Limits,
-    draining: &dyn Fn() -> bool,
 ) -> ReadOutcome {
-    let deadline = Instant::now() + read_timeout;
+    let deadline = Instant::now() + server.config.read_timeout;
     let mut chunk = [0u8; 8192];
     loop {
         if !buf.is_empty() {
-            match http::parse_request(buf, limits) {
+            match http::parse_request(buf, &server.config.limits) {
                 Ok(Parse::Ready { request, consumed }) => {
                     buf.drain(..consumed);
                     return ReadOutcome::Request(request);
@@ -748,7 +746,7 @@ pub(crate) fn read_request_with(
         if Instant::now() >= deadline {
             return ReadOutcome::Timeout;
         }
-        if kept_alive && buf.is_empty() && draining() {
+        if kept_alive && buf.is_empty() && server.is_draining() {
             // An idle keep-alive connection during drain: close now
             // instead of holding the worker for the full deadline. A
             // *partial* request keeps its full budget — in-flight work
@@ -784,22 +782,6 @@ pub(crate) fn read_request_with(
             }
         }
     }
-}
-
-fn read_one_request(
-    server: &NetServer,
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    kept_alive: bool,
-) -> ReadOutcome {
-    read_request_with(
-        stream,
-        buf,
-        kept_alive,
-        server.config.read_timeout,
-        &server.config.limits,
-        &|| server.is_draining(),
-    )
 }
 
 /// Writes `bytes`, honoring the write deadline and the fault plan.

@@ -16,12 +16,12 @@
 //! batches, deadline pressure, cancellations, and edge-failure storms);
 //! [`replay`] runs one through a local [`SolveService`] and reports
 //! per-job rows plus a tail-latency summary, and [`replay_remote`]
-//! drives a running `decss serve --listen` / `decss shard` front end
-//! instead. Replaying the same trace twice yields byte-identical job
-//! rows modulo `wall_ms` / `cache_hit` — the chaotic ingredients are
-//! encoded so their *outcome* is deterministic (cancels are flagged
-//! before submission, deadline pressure is `deadline_ms: 0`, deltas
-//! only reweight/insert).
+//! drives a running `decss serve --listen` front end instead.
+//! Replaying the same trace twice yields byte-identical job rows modulo
+//! `wall_ms` / `cache_hit` — the chaotic ingredients are encoded so
+//! their *outcome* is deterministic (cancels are flagged before
+//! submission, deadline pressure is `deadline_ms: 0`, deltas only
+//! reweight/insert).
 
 use crate::client::Client;
 use crate::jobs::{self, FileAccess, JobSpec};
@@ -450,10 +450,10 @@ pub fn replay(text: &str, files: FileAccess, cfg: &ReplayConfig) -> Result<Repla
     })
 }
 
-/// Replays a trace against a running front end (`decss serve --listen`
-/// or `decss shard`): every event line is posted verbatim as a
-/// single-job `POST /solve` (the trace-only keys are ignored by the
-/// server's parser), in arrival order. Cancellation events cannot be
+/// Replays a trace against a running front end (`decss serve
+/// --listen`): every event line is posted verbatim as a single-job
+/// `POST /solve` (the trace-only keys are ignored by the server's
+/// parser), in arrival order. Cancellation events cannot be
 /// flagged remotely, so they are sent with their flag stripped — the
 /// remote replay measures serving, not cancellation plumbing.
 pub fn replay_remote(

@@ -25,7 +25,7 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
 /// `(graph, request)`.
 ///
 /// Normalization keeps exactly the knobs that shape the report —
-/// algorithm, epsilon, variant, seed, shards, bandwidth, fail-edges,
+/// algorithm, epsilon, variant, seed, bandwidth, fail-edges, deltas,
 /// trace level — and drops the ones that only decide *whether* the
 /// solve finishes (deadline, cancellation flag), so a request that
 /// carries a budget still hits the cache entry its unbudgeted twin
@@ -49,9 +49,9 @@ impl JobKey {
     /// delta echo, so "solve the mutated graph from scratch" and
     /// "apply this batch" remain distinct cache entries.)
     pub fn new(g: &Graph, req: &SolveRequest) -> Self {
-        // `params_echo` covers epsilon/variant/seed/shards/bandwidth/
-        // fail_edges/deltas with defaults spelled out; algorithm and
-        // trace are the two result-shaping knobs it omits.
+        // `params_echo` covers epsilon/variant/seed/bandwidth/fail_edges/
+        // deltas with defaults spelled out; algorithm and trace are the
+        // two result-shaping knobs it omits.
         let request = format!("{} {} trace={:?}", req.algorithm, req.params_echo(), req.trace);
         let fingerprint = if req.deltas.is_empty() {
             graph_fingerprint(g)

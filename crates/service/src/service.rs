@@ -258,18 +258,13 @@ impl SolveService {
             failed: AtomicU64::new(0),
             latency: Mutex::new(Vec::new()),
         });
-        // Divide the host's cores among the queue workers so a request's
-        // `shards` hint cannot oversubscribe: K workers × this cap never
-        // exceeds the core count (each worker always keeps >= 1 thread).
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let pool_cap = (cores / config.workers.max(1)).max(1);
         let workers = (0..config.workers.max(1))
             .map(|index| {
                 let shared = Arc::clone(&shared);
                 let registry = config.registry;
                 std::thread::Builder::new()
                     .name(format!("decss-worker-{index}"))
-                    .spawn(move || worker_loop(&shared, index, registry, pool_cap))
+                    .spawn(move || worker_loop(&shared, index, registry))
                     .expect("spawn service worker")
             })
             .collect::<Vec<_>>();
@@ -545,9 +540,8 @@ impl Drop for SolveService {
     }
 }
 
-fn worker_loop(shared: &Shared, index: usize, registry: fn() -> Registry, pool_cap: usize) {
+fn worker_loop(shared: &Shared, index: usize, registry: fn() -> Registry) {
     let mut session = SolverSession::with_registry(registry());
-    session.context().set_pool_cap(pool_cap);
     while let Some(job) = shared.queue.pop() {
         shared.log.record(job.id, EventKind::Started { worker: index });
         let started = Instant::now();
@@ -562,7 +556,6 @@ fn worker_loop(shared: &Shared, index: usize, registry: fn() -> Registry, pool_c
             // A panicking solve may leave the session scratch
             // half-written; a fresh session is cheap and provably clean.
             session = SolverSession::with_registry(registry());
-            session.context().set_pool_cap(pool_cap);
             let msg = panic
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
@@ -857,20 +850,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_requests_solve_identically_through_the_service() {
-        // A `shards` hint rides through the queue: the report matches a
-        // sequential solve bit-for-bit (bar the wall clock) and echoes
-        // the hint, never the host-dependent pool it ran on.
+    fn service_solves_match_a_fresh_session() {
+        // A shortcut job through the queue renders the report a fresh
+        // session solve of the same request does, bar the wall clock.
         let service = SolveService::new(ServiceConfig::default().workers(2));
         let g = grid();
-        let id = service.submit(Arc::clone(&g), SolveRequest::new("shortcut").seed(5).shards(4));
+        let req = SolveRequest::new("shortcut").seed(5);
+        let id = service.submit(Arc::clone(&g), req.clone());
         let outcome = service.join(id).expect("solve succeeds");
-        let fresh = SolverSession::new()
-            .solve(&g, &SolveRequest::new("shortcut").seed(5))
-            .unwrap();
+        let fresh = SolverSession::new().solve(&g, &req).unwrap();
         assert_eq!(outcome.report.edges, fresh.edges);
         assert_eq!(outcome.report.weight, fresh.weight);
-        assert_eq!(outcome.report.params, fresh.params.replace("shards=0", "shards=4"));
+        assert_eq!(outcome.report.params, fresh.params);
     }
 
     #[test]

@@ -29,19 +29,14 @@
 //!   counting via `M_v + M_u − 2 M_w` (Lemma 5.5),
 //! * [`setcover`] — the parallel greedy set-cover driver (Section 5.1),
 //! * [`twoecss`] — the public entry point [`shortcut_two_ecss`], and
-//!   [`shortcut_two_ecss_pool`], which measures the fragment-hierarchy
-//!   levels in parallel over a [`ShardPool`], byte-identical at any pool
-//!   size. The fan-out no longer pays now that each level skips the
-//!   tree-restricted pass once it cannot win: at two threads the
-//!   `ScTools` build is 1.15× faster on a 10⁵-vertex grid, and pooled
-//!   whole solves are no faster (0.96–1.05× the sequential speed),
+//!   [`shortcut_two_ecss_with`], which runs the same pipeline on a
+//!   caller-held workspace,
 //! * [`dynamic`] — incremental re-solves on dynamic graphs: a
 //!   [`DynamicInstance`] retains the solved pipeline state and absorbs
 //!   edge deltas, re-running only the damaged parts and levels while
 //!   staying byte-identical to a fresh solve of the mutated graph,
 //! * [`workspace`] — the epoch-stamped flat scratch buffers the hot
-//!   paths run on (one [`ShortcutWorkspace`] per pipeline run, one
-//!   [`WorkspaceArena`] slot per pooled chunk),
+//!   paths run on (one [`ShortcutWorkspace`] per pipeline run),
 //! * [`naive`] — the pre-rewrite `HashMap`-based reference
 //!   implementations, preserved for the equivalence suite and the
 //!   `bench_shortcut_pipeline` head-to-head rows.
@@ -75,14 +70,10 @@ pub mod tools;
 pub mod twoecss;
 pub mod workspace;
 
-pub use decss_congest::ShardPool;
 pub use dynamic::{
     delta_fingerprint, mutate, DeltaError, DynamicInstance, GraphDelta, IncrementalStats,
 };
 pub use partition::Partition;
 pub use shortcut::{ShortcutQuality, ShortcutScheme};
-pub use twoecss::{
-    shortcut_two_ecss, shortcut_two_ecss_pool, shortcut_two_ecss_with, ShortcutConfig,
-    ShortcutResult,
-};
-pub use workspace::{ShortcutWorkspace, WorkspaceArena};
+pub use twoecss::{shortcut_two_ecss, shortcut_two_ecss_with, ShortcutConfig, ShortcutResult};
+pub use workspace::ShortcutWorkspace;

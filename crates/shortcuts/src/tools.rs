@@ -17,14 +17,12 @@
 
 use crate::fragments::FragmentHierarchy;
 use crate::shortcut::{best_shortcut_ws, ShortcutQuality};
-use crate::workspace::{ShortcutWorkspace, WorkspaceArena};
+use crate::workspace::ShortcutWorkspace;
 use decss_congest::ledger::RoundLedger;
 use decss_congest::protocols::convergecast::Agg;
-use decss_congest::ShardPool;
-use decss_graphs::algo::{self, BfsTree};
+use decss_graphs::algo;
 use decss_graphs::{Graph, VertexId};
 use decss_tree::{EulerTour, HeavyLight, RootedTree};
-use std::ops::Range;
 
 /// Shortcut-powered tree tools bound to one graph + rooted tree.
 pub struct ScTools<'a> {
@@ -53,44 +51,13 @@ impl<'a> ScTools<'a> {
     /// [`ScTools::new`] reusing a caller-held workspace for the
     /// per-level shortcut measurements.
     pub fn new_with(graph: &'a Graph, tree: &'a RootedTree, ws: &mut ShortcutWorkspace) -> Self {
-        Self::build(graph, tree, |hierarchy, bfs| {
-            measure_levels(graph, hierarchy, bfs, 0..hierarchy.num_levels(), ws)
-        })
-    }
-
-    /// [`ScTools::new_with`] with the per-level shortcut measurements
-    /// fanned out over a [`ShardPool`]: the hierarchy's levels split
-    /// into one contiguous chunk per worker, each measured on its own
-    /// arena slot, and the qualities concatenate in level order — so
-    /// they are bit-identical to the sequential sweep at any pool size.
-    pub fn new_pooled(
-        graph: &'a Graph,
-        tree: &'a RootedTree,
-        pool: &ShardPool,
-        arena: &mut WorkspaceArena,
-    ) -> Self {
-        Self::build(graph, tree, |hierarchy, bfs| {
-            let levels = hierarchy.num_levels();
-            let slots = arena.slots(pool.chunks(levels), graph);
-            pool.run_chunks(slots, levels, |ws, range| {
-                measure_levels(graph, hierarchy, bfs, range, ws)
-            })
-            .concat()
-        })
-    }
-
-    /// The BFS backbone, HLD and hierarchy, plus the per-level
-    /// qualities `measure` derives from them.
-    fn build(
-        graph: &'a Graph,
-        tree: &'a RootedTree,
-        measure: impl FnOnce(&FragmentHierarchy, &BfsTree) -> Vec<ShortcutQuality>,
-    ) -> Self {
         let euler = EulerTour::new(tree);
         let hld = HeavyLight::new(tree, &euler);
         let hierarchy = FragmentHierarchy::new(tree, &hld);
         let bfs = algo::bfs_tree(graph, tree.root());
-        let level_quality = measure(&hierarchy, &bfs);
+        let level_quality = (0..hierarchy.num_levels())
+            .map(|d| best_shortcut_ws(graph, &bfs, &hierarchy.level_partition(graph, d), ws))
+            .collect();
         ScTools {
             graph,
             tree,
@@ -200,20 +167,6 @@ impl<'a> ScTools<'a> {
         let levels = self.hierarchy.num_levels().max(1) as u64;
         ledger.charge("sc.hld-setup", self.pass_cost() * (1 + levels));
     }
-}
-
-/// The best shortcut quality of each hierarchy level in `levels`,
-/// measured on `ws`.
-fn measure_levels(
-    graph: &Graph,
-    hierarchy: &FragmentHierarchy,
-    bfs: &BfsTree,
-    levels: Range<usize>,
-    ws: &mut ShortcutWorkspace,
-) -> Vec<ShortcutQuality> {
-    levels
-        .map(|d| best_shortcut_ws(graph, bfs, &hierarchy.level_partition(graph, d), ws))
-        .collect()
 }
 
 #[cfg(test)]

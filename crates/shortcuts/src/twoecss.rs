@@ -3,9 +3,8 @@
 
 use crate::setcover::{parallel_greedy_tap, SetCoverConfig};
 use crate::tools::ScTools;
-use crate::workspace::{ShortcutWorkspace, WorkspaceArena};
+use crate::workspace::ShortcutWorkspace;
 use decss_congest::ledger::RoundLedger;
-use decss_congest::ShardPool;
 use decss_graphs::{algo, EdgeId, Graph, Weight};
 use decss_tree::RootedTree;
 use std::fmt;
@@ -110,38 +109,9 @@ pub fn shortcut_two_ecss_with(
     augment(g, &tools, config, ws)
 }
 
-/// [`shortcut_two_ecss_with`] with the per-level shortcut measurements
-/// of [`ScTools::new_pooled`] fanned out over `pool`, each chunk of
-/// levels on its own `arena` slot; the set cover runs on the primary
-/// slot.
-///
-/// **Determinism contract:** for any pool (any worker or thread count,
-/// including oversubscribed ones) and any arena state, the returned
-/// [`ShortcutResult`] is bit-identical to the sequential
-/// [`shortcut_two_ecss_with`] — same edges in the same order, same
-/// weights, same per-level qualities, same repetition and fallback
-/// counts. The `pool_equivalence` proptest suite pins this.
-///
-/// # Errors
-///
-/// Returns [`NotTwoEdgeConnected`] if no augmentation exists.
-pub fn shortcut_two_ecss_pool(
-    g: &Graph,
-    config: &ShortcutConfig,
-    pool: &ShardPool,
-    arena: &mut WorkspaceArena,
-) -> Result<ShortcutResult, NotTwoEdgeConnected> {
-    if !algo::is_two_edge_connected(g) {
-        return Err(NotTwoEdgeConnected);
-    }
-    let tree = RootedTree::mst(g);
-    let tools = ScTools::new_pooled(g, &tree, pool, arena);
-    augment(g, &tools, config, arena.primary())
-}
-
-/// The back half of the pipeline, shared by the fresh, pooled and
-/// incremental paths: charges the MST, runs the set cover on `ws` and
-/// assembles the result around the MST edges of `tools.tree`.
+/// The back half of the pipeline, shared by the fresh and incremental
+/// paths: charges the MST, runs the set cover on `ws` and assembles the
+/// result around the MST edges of `tools.tree`.
 pub(crate) fn augment(
     g: &Graph,
     tools: &ScTools<'_>,

@@ -2,7 +2,7 @@
 
 use crate::error::SolveError;
 use crate::request::SolveRequest;
-use decss_shortcuts::{ShardPool, ShortcutWorkspace, WorkspaceArena};
+use decss_shortcuts::ShortcutWorkspace;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -11,25 +11,11 @@ use std::time::Instant;
 /// scratch (the heavy-traffic path — repeated solves on same-size
 /// instances allocate nothing after the first call) plus the armed
 /// deadline/cancellation state of the current request.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SolveCx {
-    arena: WorkspaceArena,
-    pool: ShardPool,
-    pool_cap: usize,
+    workspace: ShortcutWorkspace,
     deadline: Option<Instant>,
     cancel: Option<Arc<AtomicBool>>,
-}
-
-impl Default for SolveCx {
-    fn default() -> Self {
-        SolveCx {
-            arena: WorkspaceArena::new(),
-            pool: ShardPool::sequential(),
-            pool_cap: usize::MAX,
-            deadline: None,
-            cancel: None,
-        }
-    }
 }
 
 impl SolveCx {
@@ -38,49 +24,20 @@ impl SolveCx {
         SolveCx::default()
     }
 
-    /// Caps the OS threads any armed pool may spawn (the batch service
-    /// sets this so K queue workers × P pool threads never oversubscribe
-    /// the host). `0` is treated as 1.
-    pub fn with_pool_cap(mut self, cap: usize) -> Self {
-        self.set_pool_cap(cap);
-        self
-    }
-
-    /// In-place form of [`SolveCx::with_pool_cap`], for contexts already
-    /// embedded in a session. Takes effect at the next [`SolveCx::arm`].
-    pub fn set_pool_cap(&mut self, cap: usize) {
-        self.pool_cap = cap.max(1);
-    }
-
     /// The shared flat scratch ([`ShortcutWorkspace`]) solvers thread
     /// through the shortcut pipeline. Grows to the largest instance
-    /// seen, never shrinks. This is the arena's primary slot, so
-    /// sequential and pooled solves reuse the same buffers.
+    /// seen, never shrinks.
     pub fn workspace(&mut self) -> &mut ShortcutWorkspace {
-        self.arena.primary()
+        &mut self.workspace
     }
 
-    /// The shard pool armed for the current request (sequential until
-    /// [`SolveCx::arm`] sees a request with a `shards` hint).
-    pub fn pool(&self) -> &ShardPool {
-        &self.pool
-    }
-
-    /// The pool plus the workspace arena, split-borrowed for the pooled
-    /// pipeline entry points.
-    pub fn pool_scratch(&mut self) -> (&ShardPool, &mut WorkspaceArena) {
-        (&self.pool, &mut self.arena)
-    }
-
-    /// Arms the deadline clock, cancellation flag, and shard pool for
-    /// one solve. Called by [`SolverSession`](crate::SolverSession) at
-    /// solve entry; call it yourself when driving a
-    /// [`Solver`](crate::Solver) directly and you want the request's
-    /// budget honored.
+    /// Arms the deadline clock and cancellation flag for one solve.
+    /// Called by [`SolverSession`](crate::SolverSession) at solve entry;
+    /// call it yourself when driving a [`Solver`](crate::Solver)
+    /// directly and you want the request's budget honored.
     pub fn arm(&mut self, req: &SolveRequest) {
         self.deadline = req.deadline.map(|budget| Instant::now() + budget);
         self.cancel = req.cancel.clone();
-        self.pool = ShardPool::with_thread_cap(req.shards, self.pool_cap);
     }
 
     /// Phase-boundary check: errors if the armed cancellation flag is
@@ -114,24 +71,6 @@ mod tests {
     fn unarmed_context_never_trips() {
         let cx = SolveCx::new();
         assert_eq!(cx.checkpoint(), Ok(()));
-        assert!(cx.pool().is_sequential());
-    }
-
-    #[test]
-    fn arming_derives_the_pool_from_the_shards_hint() {
-        let mut cx = SolveCx::new();
-        cx.arm(&SolveRequest::new("x").shards(4));
-        assert_eq!(cx.pool().workers(), 4);
-        cx.arm(&SolveRequest::new("x"));
-        assert!(cx.pool().is_sequential(), "shards=0 re-arms sequential");
-    }
-
-    #[test]
-    fn pool_cap_bounds_armed_threads() {
-        let mut cx = SolveCx::new().with_pool_cap(1);
-        cx.arm(&SolveRequest::new("x").shards(8));
-        assert_eq!(cx.pool().workers(), 8, "workers follow the hint");
-        assert_eq!(cx.pool().threads(), 1, "threads honor the cap");
     }
 
     #[test]

@@ -54,14 +54,6 @@ pub struct SolveRequest {
     /// sampling, failure injection). `None` keeps each solver's
     /// deterministic default.
     pub seed: Option<u64>,
-    /// Intra-solve parallelism hint: `0` = sequential. The session arms
-    /// a [`ShardPool`](decss_shortcuts::ShardPool) with this many
-    /// logical workers (threads capped at the host's cores), and the
-    /// shortcut solver measures its fragment-hierarchy levels over it;
-    /// the other solvers ignore it. Results are bit-identical at any
-    /// value — only wall time changes. The report's `params` line
-    /// echoes the hint, not the host-dependent pool it ran on.
-    pub shards: usize,
     /// CONGEST bandwidth in `O(log n)`-bit words per edge per round
     /// (default 1, the model the ledger charges). Reports scale their
     /// round counts by it ([`SolveReport::effective_rounds`]): `B` words
@@ -105,7 +97,6 @@ impl SolveRequest {
             epsilon: 0.25,
             variant: None,
             seed: None,
-            shards: 0,
             bandwidth: 1,
             fail_edges: 0,
             deltas: Vec::new(),
@@ -130,12 +121,6 @@ impl SolveRequest {
     /// Overrides the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
-        self
-    }
-
-    /// Sets the round-engine shard hint.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -185,8 +170,8 @@ impl SolveRequest {
         };
         let seed = self.seed.map_or("default".to_string(), |s| s.to_string());
         let mut echo = format!(
-            "epsilon={} variant={variant} seed={seed} shards={} bandwidth={} fail_edges={}",
-            self.epsilon, self.shards, self.bandwidth, self.fail_edges
+            "epsilon={} variant={variant} seed={seed} bandwidth={} fail_edges={}",
+            self.epsilon, self.bandwidth, self.fail_edges
         );
         // Appended only when present, so delta-less echoes (and the
         // cache keys / golden pins derived from them) stay unchanged.
@@ -223,7 +208,6 @@ mod tests {
             .epsilon(0.5)
             .variant(Variant::Basic)
             .seed(9)
-            .shards(4)
             .bandwidth(2)
             .fail_edges(3)
             .deadline(Duration::from_millis(100))
@@ -233,7 +217,6 @@ mod tests {
         assert_eq!(req.epsilon, 0.5);
         assert_eq!(req.variant, Some(Variant::Basic));
         assert_eq!(req.seed, Some(9));
-        assert_eq!(req.shards, 4);
         assert_eq!(req.bandwidth, 2);
         assert_eq!(req.fail_edges, 3);
         assert_eq!(req.deadline, Some(Duration::from_millis(100)));

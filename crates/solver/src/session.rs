@@ -326,45 +326,10 @@ mod tests {
         assert!(report.certified_ratio() >= 1.0 - 1e-9);
         assert!(report.rounds.unwrap() > 0);
         assert!(report.wall_ms >= 0.0);
-        assert!(report.params.contains("epsilon=0.25"));
-        assert!(report.params.contains("shards=0"), "{}", report.params);
-    }
-
-    #[test]
-    fn shards_hint_changes_no_result_and_is_echoed() {
-        let g = gen::grid(8, 8, 20, 7);
-        let mut seq_session = SolverSession::new();
-        let mut pooled_session = SolverSession::new();
-        let seq = seq_session.solve(&g, &SolveRequest::new("shortcut").seed(3)).unwrap();
-        let pooled = pooled_session
-            .solve(&g, &SolveRequest::new("shortcut").seed(3).shards(4))
-            .unwrap();
-        assert_eq!(seq.edges, pooled.edges);
-        assert_eq!(seq.weight, pooled.weight);
-        assert_eq!(seq.level_quality, pooled.level_quality);
-        assert!(pooled.params.contains("shards=4"), "{}", pooled.params);
-    }
-
-    #[test]
-    fn reports_do_not_depend_on_the_host_pool() {
-        // The pool cap is host- and service-dependent (cores divided by
-        // queue workers); the same `shards=4` request must render the
-        // same params and the same JSON row under any cap.
-        let g = gen::grid(8, 8, 20, 7);
-        let req = SolveRequest::new("shortcut").seed(3).shards(4);
-        let rows: Vec<(String, String)> = [1, 2]
-            .map(|cap| {
-                let mut session = SolverSession::new();
-                session.context().set_pool_cap(cap);
-                let report = session.solve(&g, &req).unwrap();
-                let json = report.to_json();
-                let wall = format!("\"wall_ms\": {:.3}", report.wall_ms);
-                assert!(json.contains(&wall), "{json}");
-                (report.params, json.replace(&wall, "\"wall_ms\": 0"))
-            })
-            .into();
-        assert_eq!(rows[0], rows[1]);
-        assert!(!rows[0].0.contains("pool"), "{}", rows[0].0);
+        assert_eq!(
+            report.params,
+            "epsilon=0.25 variant=default seed=default bandwidth=1 fail_edges=0"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@ use decss_baselines::{cheapest_cover_tap, exact_two_ecss, greedy_tap};
 use decss_congest::ledger::RoundLedger;
 use decss_core::{approximate_two_ecss, TapConfig, TwoEcssConfig, Variant};
 use decss_graphs::{algo, EdgeId, Graph, Weight};
-use decss_shortcuts::{shortcut_two_ecss_pool, ShortcutConfig, ShortcutResult};
+use decss_shortcuts::{shortcut_two_ecss_with, ShortcutConfig, ShortcutResult};
 use decss_tree::RootedTree;
 
 /// Factories for every built-in solver, in the registration order of
@@ -133,10 +133,7 @@ impl Solver for ShortcutSolver {
     ) -> Result<SolveReport, SolveError> {
         cx.checkpoint()?;
         let config = shortcut_config(req);
-        // The armed pool mirrors the request's `shards` hint; the pooled
-        // pipeline is bit-identical to the sequential one at any size.
-        let (pool, arena) = cx.pool_scratch();
-        let res = shortcut_two_ecss_pool(g, &config, pool, arena)?;
+        let res = shortcut_two_ecss_with(g, &config, cx.workspace())?;
         cx.checkpoint()?;
         Ok(shortcut_report(res, req))
     }

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! decss solve      --input net.graph [--algorithm NAME] [--epsilon 0.25] [--seed S]
-//!                  [--bandwidth B] [--fail-edges K] [--shards K] [--deadline-ms MS]
+//!                  [--bandwidth B] [--fail-edges K] [--deadline-ms MS]
 //!                  [--deltas "rw(3,9),del(5),ins(2,9,4)"] [--trace summary|full] [--json]
 //! decss algorithms [--names]                                    # list the solver registry
 //! decss gen        --family grid --n 100 --seed 7 [--max-weight 64]  # writes the format to stdout
@@ -12,8 +12,8 @@
 //! decss simulate   --input net.graph --protocol bfs [--root 0] [--bursts 8]
 //! decss scenario   --families grid,hard-sqrt --sizes 1000,10000 [--seeds 0,1] \
 //!                  [--algorithms shortcut,improved] [--epsilon 0.25] [--max-weight 64] \
-//!                  [--bandwidth B] [--fail-edges K] [--shards K] [--workers K] \
-//!                  [--cache-cap N] [--out runs.json]
+//!                  [--bandwidth B] [--fail-edges K] [--workers K] [--cache-cap N] \
+//!                  [--out runs.json]
 //! decss serve      --jobs jobs.json [--workers K] [--cache-cap N] [--queue-cap N] \
 //!                  [--out reports.json] [--keep-going]
 //! decss serve      --trace trace.jsonl [--workers K] [--cache-cap N] [--queue-cap N] \
@@ -53,9 +53,7 @@ use decss::congest::SimReport;
 use decss::graphs::{algo, io, EdgeId, Graph, VertexId};
 use decss::net::jobs::{self, FileAccess};
 use decss::net::trace::{self, Arrival, GenConfig, ReplayConfig};
-use decss::net::{
-    signal, stress, NetConfig, NetServer, QuotaConfig, ShardConfig, ShardServer, StressConfig,
-};
+use decss::net::{signal, stress, NetConfig, NetServer, QuotaConfig, StressConfig};
 use decss::service::{ServiceConfig, SolveService};
 use decss::solver::{SolveReport, SolveRequest, SolverSession, TraceLevel};
 use std::process::ExitCode;
@@ -70,18 +68,17 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("usage:");
-            eprintln!("  decss solve      --input FILE [--algorithm NAME] [--epsilon E] [--seed S] [--bandwidth B] [--fail-edges K] [--shards K] [--deadline-ms MS] [--deltas LIST] [--trace summary|full] [--json]");
+            eprintln!("  decss solve      --input FILE [--algorithm NAME] [--epsilon E] [--seed S] [--bandwidth B] [--fail-edges K] [--deadline-ms MS] [--deltas LIST] [--trace summary|full] [--json]");
             eprintln!("  decss algorithms [--names]");
             eprintln!("  decss gen        --family NAME --n N [--seed S] [--max-weight W]");
             eprintln!("  decss verify     --input FILE --edges ID[,ID...]");
             eprintln!("  decss simulate   --input FILE --protocol flood|bfs|leader|mst [--root R] [--bursts B]");
-            eprintln!("  decss scenario   --families F[,F...] --sizes N[,N...] [--seeds S[,S...]] [--algorithms NAME[,...]] [--epsilon E] [--max-weight W] [--bandwidth B] [--fail-edges K] [--shards K] [--workers K] [--cache-cap N] [--out FILE]");
+            eprintln!("  decss scenario   --families F[,F...] --sizes N[,N...] [--seeds S[,S...]] [--algorithms NAME[,...]] [--epsilon E] [--max-weight W] [--bandwidth B] [--fail-edges K] [--workers K] [--cache-cap N] [--out FILE]");
             eprintln!("  decss serve      --jobs FILE.json [--workers K] [--cache-cap N] [--queue-cap N] [--out FILE] [--keep-going] [--restore PATH] [--snapshot PATH]");
             eprintln!("  decss serve      --trace FILE.jsonl [--workers K] [--cache-cap N] [--queue-cap N] [--pace] [--out FILE]");
             eprintln!("  decss trace      gen [--seed S] [--jobs N] [--arrival poisson|bursty] [--mean-gap-ms MS] [--out FILE]");
             eprintln!("  decss trace      replay --input FILE.jsonl [--target ADDR] [--workers K] [--cache-cap N] [--queue-cap N] [--pace] [--out FILE]");
             eprintln!("  decss serve      --listen ADDR [--workers K] [--cache-cap N] [--queue-cap N] [--max-conns N] [--read-timeout-ms MS] [--write-timeout-ms MS] [--quota-rps R] [--quota-burst B] [--grace-ms MS] [--restore PATH] [--snapshot PATH] [--snapshot-interval-ms MS]");
-            eprintln!("  decss shard      --listen ADDR --backends ADDR[,ADDR...] [--max-conns N] [--probe-interval-ms MS] [--forward-timeout-ms MS] [--grace-ms MS]");
             eprintln!("  decss netstress  [--seed S] [--ops N] [--threads K] [--workers K] [--queue-cap N] [--faults]");
             eprintln!();
             eprintln!("run `decss algorithms` for the solver registry NAMEs.");
@@ -121,10 +118,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         Some("scenario") => scenario(&args[1..]),
         Some("serve") => serve(&args[1..]),
         Some("trace") => trace_cmd(&args[1..]),
-        Some("shard") => shard(&args[1..]),
         Some("netstress") => netstress(&args[1..]),
         _ => Err(
-            "expected a subcommand: solve | algorithms | gen | verify | simulate | scenario | serve | trace | shard | netstress"
+            "expected a subcommand: solve | algorithms | gen | verify | simulate | scenario | serve | trace | netstress"
                 .into(),
         ),
     }
@@ -137,8 +133,7 @@ fn request_from_flags(args: &[String], algorithm: &str) -> Result<SolveRequest, 
     let mut req = SolveRequest::new(algorithm)
         .epsilon(parse_flag(args, "--epsilon", 0.25)?)
         .bandwidth(parse_flag(args, "--bandwidth", 1u32)?)
-        .fail_edges(parse_flag(args, "--fail-edges", 0u32)?)
-        .shards(parse_flag(args, "--shards", 0usize)?);
+        .fail_edges(parse_flag(args, "--fail-edges", 0u32)?);
     if let Some(seed) = flag(args, "--seed") {
         req = req.seed(seed.parse().map_err(|_| format!("bad --seed {seed}"))?);
     }
@@ -299,7 +294,7 @@ fn scenario(args: &[String]) -> Result<ExitCode, String> {
     let workers: usize = parse_flag(args, "--workers", 1)?;
     let cache_cap: usize = parse_flag(args, "--cache-cap", 128)?;
     // One flag vocabulary with `solve`: the shared helper parses every
-    // request knob (epsilon/bandwidth/fail-edges/shards/deadline/trace);
+    // request knob (epsilon/bandwidth/fail-edges/deadline/trace);
     // this probe also feeds the sweep header.
     let probe = request_from_flags(args, "probe")?;
     let (epsilon, bandwidth, fail_edges) = (probe.epsilon, probe.bandwidth, probe.fail_edges);
@@ -323,14 +318,7 @@ fn scenario(args: &[String]) -> Result<ExitCode, String> {
     json.push_str(&format!("    \"bandwidth\": {bandwidth},\n"));
     json.push_str(&format!("    \"fail_edges\": {fail_edges},\n"));
     json.push_str(&format!("    \"nproc\": {nproc},\n"));
-    json.push_str(&format!("    \"workers\": {workers},\n"));
-    // The effective per-run pool: the `--shards` hint after worker
-    // clamping and the per-worker core split (K workers never
-    // oversubscribe the host between them).
-    let pool =
-        decss::congest::ShardPool::with_thread_cap(probe.shards, (nproc / workers.max(1)).max(1));
-    json.push_str(&format!("    \"shards\": {},\n", probe.shards));
-    json.push_str(&format!("    \"pool\": \"{pool}\"\n"));
+    json.push_str(&format!("    \"workers\": {workers}\n"));
     json.push_str("  },\n  \"runs\": [\n");
 
     // The whole grid goes through one SolveService: K warm sessions
@@ -679,60 +667,6 @@ fn serve_network(args: &[String], listen: &str) -> Result<ExitCode, String> {
         ));
     }
     eprintln!("serve: audit clean ({audited} jobs accounted); bye");
-    Ok(ExitCode::SUCCESS)
-}
-
-/// The fingerprint-sharded front tier: bind `--listen ADDR`, route
-/// `POST /solve` / `POST /jobs` across the `--backends` fleet by
-/// rendezvous hashing on the graph fingerprint, probing each backend's
-/// `/ready` in the background and failing over when one drains or
-/// dies. SIGTERM drains the front tier and prints the per-backend
-/// accounting. Exits 0 on a clean drain.
-fn shard(args: &[String]) -> Result<ExitCode, String> {
-    let listen = flag(args, "--listen").ok_or("--listen ADDR is required")?;
-    let backends: Vec<String> = flag(args, "--backends")
-        .ok_or("--backends ADDR[,ADDR...] is required")?
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect();
-    let max_conns: usize = parse_flag(args, "--max-conns", 8)?;
-    let probe_ms: u64 = parse_flag(args, "--probe-interval-ms", 250)?;
-    let forward_ms: u64 = parse_flag(args, "--forward-timeout-ms", 30_000)?;
-    let grace_ms: u64 = parse_flag(args, "--grace-ms", 150)?;
-    let config = ShardConfig::default()
-        .max_connections(max_conns)
-        .probe_interval(Duration::from_millis(probe_ms.max(1)))
-        .forward_timeout(Duration::from_millis(forward_ms.max(1)));
-
-    signal::reset();
-    signal::install_handlers();
-    let handle = ShardServer::start(listen, &backends, config)?;
-    eprintln!(
-        "shard: listening on http://{} over {} backends",
-        handle.addr(),
-        backends.len()
-    );
-    eprintln!("shard: GET /healthz /ready /stats; POST /solve /jobs; SIGTERM drains");
-    while !signal::shutdown_requested() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    eprintln!("shard: shutdown signal received; draining ...");
-    let summary = handle.drain(Duration::from_millis(grace_ms));
-    eprintln!(
-        "shard: drained; {} requests, {} routed ({} rerouted), {} with no backend",
-        summary.net.requests, summary.net.routed, summary.net.rerouted, summary.net.no_backend,
-    );
-    for backend in &summary.backends {
-        eprintln!(
-            "shard: backend {}: {} jobs, {} errors, {}",
-            backend.label,
-            backend.routed,
-            backend.errors,
-            if backend.healthy { "healthy" } else { "down" },
-        );
-    }
-    eprintln!("shard: bye");
     Ok(ExitCode::SUCCESS)
 }
 

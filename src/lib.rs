@@ -30,8 +30,7 @@
 //!   connection pool, strict request parsing, load shedding with retry
 //!   hints, per-client quotas, graceful SIGTERM drain, and the
 //!   fault-injection chaos harness (`decss serve --listen` and
-//!   `decss netstress`), plus the fingerprint-sharded front tier
-//!   (`decss shard`),
+//!   `decss netstress`),
 //! * [`persist`] — warm-state persistence: a versioned, checksummed
 //!   snapshot format for the service's cache, audited log tail, and
 //!   counters, written atomically on drain or on a timer and restored

@@ -1,9 +1,8 @@
 //! Property-based pins on the workload atlas: every family must emit a
 //! 2-edge-connected graph for *every* `(n, seed)` the generator
 //! accepts, the output must be a pure function of its parameters, and
-//! the fingerprint must see through edge-id order (so cache keys and
-//! shard routing agree on atlas instances no matter which path built
-//! them).
+//! the fingerprint must see through edge-id order (so cache keys agree
+//! on atlas instances no matter which path built them).
 
 use decss::graphs::{algo, gen, GraphBuilder};
 use decss::service::graph_fingerprint;
@@ -52,9 +51,9 @@ proptest! {
         prop_assert_ne!(a, c, "{:?} ignores its seed", family);
     }
 
-    /// The fingerprint that keys caches and shard routing is
-    /// independent of edge insertion order: rebuilding an atlas
-    /// instance with its edge list reversed fingerprints identically.
+    /// The fingerprint that keys caches is independent of edge
+    /// insertion order: rebuilding an atlas instance with its edge list
+    /// reversed fingerprints identically.
     #[test]
     fn atlas_fingerprints_ignore_edge_order(
         family in any_family(),

@@ -86,9 +86,7 @@ fn scenario_document_schema_is_pinned() {
             "bandwidth",
             "fail_edges",
             "nproc",
-            "workers",
-            "shards",
-            "pool"
+            "workers"
         ],
         "scenario header drifted"
     );
@@ -220,8 +218,8 @@ fn serve_document_schema_is_pinned() {
         // two algorithms ran → two histogram objects
         want.extend(histogram_group.iter().map(|s| s.to_string()));
     }
-    // Host shape trailer: detected cores and the per-worker pool cap.
-    want.extend(["nproc", "pool_cap"].map(String::from));
+    // Host shape trailer: detected cores.
+    want.push("nproc".to_string());
     assert_eq!(keys, want, "service stats schema drifted: {service_line}");
     assert_eq!(number_field(service_line, "submitted"), Some(3.0));
     assert_eq!(number_field(service_line, "completed"), Some(3.0));
