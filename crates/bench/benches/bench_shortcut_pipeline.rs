@@ -1,21 +1,20 @@
-//! Wall-clock of the Theorem 1.2 shortcut pipeline after the flat
-//! scratch-buffer rewrites, head-to-head against the preserved naive
-//! reference paths (`decss_shortcuts::naive`, `NaiveCoverEngine`):
+//! Wall-clock of the Theorem 1.2 shortcut pipeline on its flat
+//! scratch-buffer paths:
 //!
 //! * `construct` — per-level shortcut measurement over the fragment
 //!   hierarchy (partitions + both constructions), the dominant cost of
-//!   `ScTools::new`; `naive` rows run the old `HashMap`-based path, and
-//!   `ladder/200000` is a BFS tree 50,001 hops deep, where a Steiner
-//!   climb that runs past each part's common ancestor costs seconds.
-//! * `fragments` — the hierarchy build alone (flat arena vs per-spine
-//!   `Vec`s).
+//!   `ScTools::new`; `ladder/200000` is a BFS tree 50,001 hops deep,
+//!   where a Steiner climb that runs past each part's common ancestor
+//!   costs seconds.
+//! * `fragments` — the hierarchy build alone (flat arena).
 //! * `cover_engine` — four aggregate invocations on a prebuilt engine
-//!   (flat strided/epoch-reset scratch vs per-invocation allocations).
+//!   (strided, epoch-reset scratch).
 //! * `end_to_end` — `shortcut_two_ecss` at the 10⁴/10⁵-vertex scale the
 //!   ROADMAP targets.
 //!
-//! Every naive/flat pair is asserted result-identical before timing, so
-//! the rows measure the same computation. Measurements dump to
+//! The naive reference paths these rewrites replaced live in the
+//! `flat_equivalence` and `cover_equivalence` test suites, which pin
+//! the flat paths bit-identical to them. Measurements dump to
 //! `BENCH_shortcut_pipeline.json` (override with `DECSS_BENCH_JSON`)
 //! for the perf gate.
 
@@ -24,8 +23,7 @@ use decss_graphs::algo::bfs_tree;
 use decss_graphs::{gen, Graph, VertexId};
 use decss_shortcuts::fragments::FragmentHierarchy;
 use decss_shortcuts::shortcut::{best_shortcut_ws, ShortcutQuality};
-use decss_shortcuts::{naive, shortcut_two_ecss, ShortcutConfig, ShortcutWorkspace};
-use decss_tree::aggregates::naive::NaiveCoverEngine;
+use decss_shortcuts::{shortcut_two_ecss, ShortcutConfig, ShortcutWorkspace};
 use decss_tree::aggregates::{CoverArc, CoverEngine};
 use decss_tree::{EulerTour, HeavyLight, LcaOracle, RootedTree};
 use rand::rngs::StdRng;
@@ -87,25 +85,13 @@ fn bench_construct(c: &mut Criterion) {
         for n in CONSTRUCT_SIZES {
             let p = prepare(family, n);
             let mut ws = ShortcutWorkspace::new(&p.g);
-            // The rows must measure the same computation.
-            assert_eq!(
-                flat_level_quality(&p, &mut ws),
-                naive::level_quality(&p.g, &p.tree, &p.hld, &p.bfs),
-                "naive/flat divergence on {family}/{n}"
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("{family}/{n}"), "naive"),
-                &p,
-                |b, p| b.iter(|| naive::level_quality(&p.g, &p.tree, &p.hld, &p.bfs)),
-            );
             group.bench_with_input(
                 BenchmarkId::new(format!("{family}/{n}"), "flat"),
                 &p,
                 |b, p| b.iter(|| flat_level_quality(p, &mut ws)),
             );
         }
-        // The 10⁵-vertex scaling row the ROADMAP asks for (flat only;
-        // the naive path is minutes-per-iteration here).
+        // The 10⁵-vertex scaling row the ROADMAP asks for.
         let p = prepare(family, BIG);
         let mut ws = ShortcutWorkspace::new(&p.g);
         group.bench_with_input(BenchmarkId::new(format!("{family}/{BIG}"), "flat"), &p, |b, p| {
@@ -125,14 +111,6 @@ fn bench_fragments(c: &mut Criterion) {
     group.sample_size(10);
     for n in FRAGMENT_SIZES {
         let p = prepare("grid", n);
-        // Layout equality (the full pinning lives in flat_equivalence).
-        let flat = FragmentHierarchy::new(&p.tree, &p.hld);
-        let (levels, spine_of) = naive::fragment_levels(&p.tree, &p.hld);
-        assert_eq!(flat.num_levels(), levels.len());
-        assert_eq!(flat.spine_of, spine_of);
-        group.bench_with_input(BenchmarkId::new(format!("{n}"), "naive"), &p, |b, p| {
-            b.iter(|| naive::fragment_levels(&p.tree, &p.hld))
-        });
         group.bench_with_input(BenchmarkId::new(format!("{n}"), "flat"), &p, |b, p| {
             b.iter(|| FragmentHierarchy::new(&p.tree, &p.hld))
         });
@@ -157,29 +135,12 @@ fn bench_cover_engine(c: &mut Criterion) {
             }
         }
         let flat = CoverEngine::new(&tree, &lca, arcs.clone());
-        let naive_engine = NaiveCoverEngine::new(&tree, &lca, arcs.clone());
         let active: Vec<bool> = (0..arcs.len()).map(|i| i % 3 != 0).collect();
         let keys: Vec<u64> = (0..arcs.len() as u64).map(|i| (i * 37) % 1000).collect();
         let tvals: Vec<f64> = (0..n as u64).map(|i| (i % 17) as f64).collect();
         let tkeys: Vec<u64> = (0..n as u64).map(|i| (i * 13) % 997).collect();
-        assert_eq!(flat.covering_count(&active), naive_engine.covering_count(&active));
-        assert_eq!(
-            flat.covering_argmin(&active, &keys),
-            naive_engine.covering_argmin(&active, &keys)
-        );
-        assert_eq!(flat.covered_min(&tkeys), naive_engine.covered_min(&tkeys));
         // One "round" of engine use: the four aggregate shapes the
         // forward/reverse phases and probes lean on.
-        group.bench_function(BenchmarkId::new(format!("{n}"), "naive"), |b| {
-            b.iter(|| {
-                (
-                    naive_engine.covering_count(&active),
-                    naive_engine.covering_argmin(&active, &keys),
-                    naive_engine.covered_sum(&tvals),
-                    naive_engine.covered_min(&tkeys),
-                )
-            })
-        });
         group.bench_function(BenchmarkId::new(format!("{n}"), "flat"), |b| {
             b.iter(|| {
                 (

@@ -1,6 +1,6 @@
 //! The hardened HTTP front-end over a [`SolveService`].
 //!
-//! Architecture: one non-blocking accept loop feeds a **bounded**
+//! Architecture: one blocking accept loop feeds a **bounded**
 //! connection pool — a [`JobQueue`] of accepted sockets drained by a
 //! fixed set of connection workers. Beyond the bound, connections get
 //! an immediate `503 busy` instead of queueing unboundedly (the
@@ -17,9 +17,10 @@
 //! * every accepted connection is returned exactly once (no slot
 //!   leaks — `accepted == conns_closed` after drain);
 //! * drain is graceful: `/ready` flips to 503 first, the listener
-//!   closes after a grace window, in-flight requests finish, the
-//!   service runs its backlog dry, and the audit verdict comes back in
-//!   the [`NetSummary`].
+//!   closes after a grace window (shutdown wakes the blocked accept
+//!   with one connection to its own port, which is dropped uncounted),
+//!   in-flight requests finish, the service runs its backlog dry, and
+//!   the audit verdict comes back in the [`NetSummary`].
 
 use crate::fault::{FaultClock, FaultPlan};
 use crate::http::{self, HttpError, Limits, Parse, Request};
@@ -30,7 +31,7 @@ use decss_solver::json::escape;
 use decss_solver::SolveError;
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -370,9 +371,6 @@ impl NetServer {
         service: ServiceConfig,
     ) -> Result<NetHandle, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("listener nonblocking: {e}"))?;
         let local = listener.local_addr().map_err(|e| format!("local addr: {e}"))?;
         let quota = config.quota.map(QuotaTable::new);
         let max_conns = config.max_connections.max(1);
@@ -499,7 +497,9 @@ impl NetServer {
 
     /// Exports the warm state and writes it to the configured snapshot
     /// path, recording the outcome for `/stats`. Callers arm this only
-    /// when a path is configured.
+    /// when a path is configured. The record's lock is held across the
+    /// write, so `/stats` never reports an older write than the file a
+    /// reader can already see.
     fn write_warm_snapshot(&self) -> Result<u64, String> {
         let path = self
             .config
@@ -507,10 +507,10 @@ impl NetServer {
             .snapshot_path
             .as_ref()
             .expect("snapshot path configured");
+        let mut last_write = self.persist.last_write.lock().expect("persist lock");
         let result = decss_persist::write_snapshot(path, &self.service.export_warm_state())
             .map_err(|e| e.to_string());
-        *self.persist.last_write.lock().expect("persist lock") =
-            Some(LastSnapshotWrite { at: Instant::now(), ok: result.is_ok() });
+        *last_write = Some(LastSnapshotWrite { at: Instant::now(), ok: result.is_ok() });
         result
     }
 
@@ -598,6 +598,7 @@ impl NetHandle {
         self.server.stop_accept.store(true, Ordering::SeqCst);
         self.server.stop_snapshot.store(true, Ordering::SeqCst);
         if let Some(accept) = self.accept.take() {
+            wake_accept(self.server.addr);
             let _ = accept.join();
         }
         if let Some(timer) = self.snapshot_timer.take() {
@@ -635,38 +636,47 @@ impl Drop for NetHandle {
     }
 }
 
+/// Wakes the accept loop, blocked in `accept`, after `stop_accept` is
+/// set: one connection to the bound port, over loopback when the bind
+/// address is unspecified. The loop drops it without counting it.
+fn wake_accept(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect(addr);
+}
+
 fn accept_loop(server: &Arc<NetServer>, listener: TcpListener) {
-    while !server.stop_accept.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if server.fault_clock.fail_this_accept(&server.config.fault) {
-                    // Injected accept-time failure: as if the kernel
-                    // aborted the connection under us.
-                    server.counters.faulted_accepts.fetch_add(1, Ordering::Relaxed);
-                    drop(stream);
-                    continue;
-                }
-                // The listener is non-blocking (so this loop can poll
-                // the stop flag); the accepted stream must not be.
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                match server.conns.try_push(stream) {
-                    Ok(()) => {
-                        server.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(PushError::Full(stream) | PushError::Closed(stream)) => {
-                        // Connection-level shed: answer fast and close
-                        // rather than queueing unboundedly.
-                        server.counters.refused_busy.fetch_add(1, Ordering::Relaxed);
-                        refuse_busy(server, stream);
-                    }
-                }
+    loop {
+        let accepted = listener.accept();
+        // Checked after `accept` returns: shutdown's wake-up connection
+        // (and any client racing it) is dropped uncounted.
+        if server.stop_accept.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok((stream, _peer)) = accepted else {
+            continue;
+        };
+        if server.fault_clock.fail_this_accept(&server.config.fault) {
+            // Injected accept-time failure: as if the kernel aborted
+            // the connection under us.
+            server.counters.faulted_accepts.fetch_add(1, Ordering::Relaxed);
+            drop(stream);
+            continue;
+        }
+        match server.conns.try_push(stream) {
+            Ok(()) => {
+                server.counters.accepted.fetch_add(1, Ordering::Relaxed);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
+            Err(PushError::Full(stream) | PushError::Closed(stream)) => {
+                // Connection-level shed: answer fast and close rather
+                // than queueing unboundedly.
+                server.counters.refused_busy.fetch_add(1, Ordering::Relaxed);
+                refuse_busy(server, stream);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
     // No more accepts: let the workers run the short backlog dry.

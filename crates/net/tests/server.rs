@@ -9,8 +9,9 @@ use decss_net::server::{NetConfig, NetHandle, NetServer};
 use decss_net::{FaultPlan, QuotaConfig};
 use decss_service::{JobId, JobOutcome, ServiceConfig};
 use decss_solver::SolverSession;
+use std::net::{Ipv4Addr, SocketAddr};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(net: NetConfig, service: ServiceConfig) -> NetHandle {
     NetServer::start("127.0.0.1:0", net, service).expect("server starts")
@@ -268,6 +269,28 @@ fn quotas_meter_per_client() {
         "{summary:?}"
     );
     assert_eq!(summary.service.audit.as_ref().copied(), Ok(3), "{summary:?}");
+}
+
+/// The accept loop blocks in `accept`; shutdown wakes it with one
+/// connection to its own port, over loopback when the bind address is
+/// unspecified. Either way the drain is prompt, and the wake-up is not
+/// counted as a client connection.
+#[test]
+fn blocking_accept_wakes_for_drain_on_loopback_and_unspecified_binds() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let handle =
+            NetServer::start(bind, NetConfig::default(), small_service()).expect("server starts");
+        let client = Client::new(SocketAddr::from((Ipv4Addr::LOCALHOST, handle.addr().port())));
+        for _ in 0..3 {
+            assert_eq!(client.get("/healthz").unwrap().status, 200, "{bind}");
+        }
+        let started = Instant::now();
+        let summary = handle.drain(Duration::ZERO);
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "{bind}: drain took {took:?}");
+        assert_eq!(summary.slot_leaks(), 0, "{bind}: {summary:?}");
+        assert_eq!(summary.net.accepted, 3, "{bind}: {summary:?}");
+    }
 }
 
 #[test]

@@ -1,22 +1,9 @@
 //! Cache keys: a structural [`graph fingerprint`](graph_fingerprint)
 //! plus the normalized result-shaping knobs of a [`SolveRequest`].
 
+use decss_graphs::fingerprint::graph_fingerprint;
 use decss_graphs::Graph;
 use decss_solver::{delta_fingerprint, SolveRequest};
-
-/// A structural fingerprint of a graph: vertex count, edge count, and
-/// the multiset of `(u, v, weight)` triples. Two graphs share a
-/// fingerprint exactly when they are the same labelled weighted graph
-/// (up to the astronomically unlikely 64-bit collision), so it is the
-/// graph half of an [`InstanceCache`](crate::InstanceCache) key.
-///
-/// Delegates to [`decss_graphs::fingerprint::graph_fingerprint`]: the
-/// order-independent hash that delta streams can update in
-/// `O(|delta|)`, so a mutated instance's key is computable without
-/// rebuilding (or even walking) the mutated graph.
-pub fn graph_fingerprint(g: &Graph) -> u64 {
-    decss_graphs::fingerprint::graph_fingerprint(g)
-}
 
 /// The full cache key of one job: the graph fingerprint plus the
 /// normalized request. Two jobs with equal keys produce byte-identical
@@ -32,7 +19,12 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
 /// filled.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct JobKey {
-    /// [`graph_fingerprint`] of the instance.
+    /// [`graph_fingerprint`] of the instance: vertex count, edge count,
+    /// and the multiset of `(u, v, weight)` triples, so two graphs share
+    /// it exactly when they are the same labelled weighted graph (up to
+    /// a 64-bit collision). It is order-independent and delta streams
+    /// update it in `O(|delta|)`, so a mutated instance's key is
+    /// computable without walking the mutated graph.
     pub fingerprint: u64,
     /// The normalized request, rendered to a canonical string.
     pub request: String,

@@ -51,7 +51,7 @@ pub mod service;
 pub mod stats;
 
 pub use cache::InstanceCache;
-pub use key::{graph_fingerprint, JobKey};
+pub use key::JobKey;
 pub use log::{EventKind, LogEvent, ServiceLog};
 pub use queue::{JobQueue, PushError};
 pub use service::{

@@ -12,8 +12,8 @@
 //! tables) instead of `Vec<Vec<Fragment>>`: the hierarchy is rebuilt for
 //! every [`crate::tools::ScTools`], and at 10⁵ vertices the per-fragment
 //! `Vec` churn of the old build path was measurable. The layout is
-//! pinned identical to the preserved [`crate::naive::fragment_levels`]
-//! reference by the `flat_equivalence` suite.
+//! pinned identical to the preserved `fragment_levels` reference in
+//! `tests/naive/mod.rs` by the `flat_equivalence` suite.
 
 use crate::partition::Partition;
 use decss_graphs::{Graph, VertexId};

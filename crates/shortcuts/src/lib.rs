@@ -36,10 +36,11 @@
 //!   edge deltas, re-running only the damaged parts and levels while
 //!   staying byte-identical to a fresh solve of the mutated graph,
 //! * [`workspace`] — the epoch-stamped flat scratch buffers the hot
-//!   paths run on (one [`ShortcutWorkspace`] per pipeline run),
-//! * [`naive`] — the pre-rewrite `HashMap`-based reference
-//!   implementations, preserved for the equivalence suite and the
-//!   `bench_shortcut_pipeline` head-to-head rows.
+//!   paths run on (one [`ShortcutWorkspace`] per pipeline run).
+//!
+//! The pre-rewrite `HashMap`-based reference implementations live in
+//! the test tree, `tests/naive/mod.rs`, where the `flat_equivalence`
+//! suite pins the flat paths bit-identical to them.
 //!
 //! # Example
 //!
@@ -61,7 +62,6 @@
 
 pub mod dynamic;
 pub mod fragments;
-pub mod naive;
 pub mod partition;
 pub mod probes;
 pub mod setcover;

@@ -1,25 +1,24 @@
 //! The two subroutines of Section 5.3.
 //!
-//! * [`covered_mask`] (Lemma 5.4): given a candidate set `S` of non-tree
+//! * [`covered_mask_into`] (Lemma 5.4): given a candidate set `S` of non-tree
 //!   edges, decide for every tree edge whether `S` covers it. Every
 //!   `S`-edge gets a random fingerprint; each vertex XORs the
 //!   fingerprints of its incident `S`-edges; a descendants' XOR then
 //!   cancels edges with both endpoints inside the subtree, so the edge
 //!   above `u` is covered iff the subtree XOR is non-zero (w.h.p.).
-//! * [`marked_cover_counts`] (Lemma 5.5): for every non-tree edge
+//! * [`marked_cover_counts_into`] (Lemma 5.5): for every non-tree edge
 //!   `e = {u, v}`, the number of *marked* tree edges it covers, via
 //!   `M_u + M_v − 2·M_w` where `M_x` counts marked edges on the root
 //!   path of `x` (an ancestors' sum) and `w = LCA(u, v)` comes from the
 //!   heavy-light labels.
-//! * [`path_load`]: the transpose — for every tree edge, how many edges
-//!   of a set cover it (two descendants' sums: incident-count minus
-//!   twice the LCA-count).
+//! * [`path_load_into`]: the transpose — for every tree edge, how many
+//!   edges of a set cover it (two descendants' sums: incident-count
+//!   minus twice the LCA-count).
 //!
-//! Each probe has a `*_into` form taking a [`ShortcutWorkspace`] plus a
-//! caller-held output buffer (and, where an LCA per candidate is
-//! needed, a precomputed LCA slice): the set-cover driver calls these
-//! every sampling repetition, and the allocating wrappers exist only
-//! for one-shot callers.
+//! Each probe takes a [`ShortcutWorkspace`] plus a caller-held output
+//! buffer (and, where an LCA per candidate is needed, a precomputed LCA
+//! slice from [`candidate_lcas`]): the set-cover driver calls them every
+//! sampling repetition, so none allocates.
 
 use crate::tools::ScTools;
 use crate::workspace::ShortcutWorkspace;
@@ -33,21 +32,7 @@ use rand::Rng;
 /// covered by `set`. Randomized; correct w.h.p. (no false "covered" is
 /// possible for XOR of fewer than 2^64 terms only with negligible
 /// probability; false "uncovered" never happens for the zero case).
-pub fn covered_mask(
-    tools: &ScTools<'_>,
-    set: &[EdgeId],
-    rng: &mut StdRng,
-    ledger: &mut RoundLedger,
-) -> Vec<bool> {
-    let mut out = Vec::new();
-    // The probes only use the workspace's value buffers (which size on
-    // demand), so an empty workspace costs nothing extra here.
-    covered_mask_into(tools, set, rng, ledger, &mut ShortcutWorkspace::default(), &mut out);
-    out
-}
-
-/// [`covered_mask`] on caller-held scratch (same fingerprints, same
-/// result — the rng is consumed identically).
+/// Writes into `out` on the workspace's value buffers.
 pub fn covered_mask_into(
     tools: &ScTools<'_>,
     set: &[EdgeId],
@@ -75,30 +60,9 @@ pub fn covered_mask_into(
 }
 
 /// Lemma 5.5: for each entry of `candidates`, the number of tree edges
-/// with `marked` set that it covers.
-pub fn marked_cover_counts(
-    tools: &ScTools<'_>,
-    candidates: &[EdgeId],
-    marked: &[bool],
-    ledger: &mut RoundLedger,
-) -> Vec<u32> {
-    let lcas = candidate_lcas(tools, candidates);
-    let mut out = Vec::new();
-    marked_cover_counts_into(
-        tools,
-        candidates,
-        &lcas,
-        marked,
-        ledger,
-        &mut ShortcutWorkspace::default(),
-        &mut out,
-    );
-    out
-}
-
-/// [`marked_cover_counts`] with the per-candidate LCAs precomputed
-/// (they depend only on the tree, so the set-cover driver computes them
-/// once instead of every phase).
+/// with `marked` set that it covers. `lcas` holds each candidate's
+/// [`candidate_lcas`] entry (they depend only on the tree, so the
+/// set-cover driver computes them once instead of every phase).
 pub fn marked_cover_counts_into(
     tools: &ScTools<'_>,
     candidates: &[EdgeId],
@@ -124,14 +88,7 @@ pub fn marked_cover_counts_into(
 
 /// For each tree edge (child vertex), how many edges of `set` cover it:
 /// `Σ_{x ∈ subtree} inc(x) − 2 · Σ_{x ∈ subtree} lca_count(x)`.
-pub fn path_load(tools: &ScTools<'_>, set: &[EdgeId], ledger: &mut RoundLedger) -> Vec<u32> {
-    let lcas = candidate_lcas(tools, set);
-    let mut out = Vec::new();
-    path_load_into(tools, set, &lcas, ledger, &mut ShortcutWorkspace::default(), &mut out);
-    out
-}
-
-/// [`path_load`] with precomputed LCAs on caller-held scratch.
+/// `lcas` holds each edge's [`candidate_lcas`] entry.
 pub fn path_load_into(
     tools: &ScTools<'_>,
     set: &[EdgeId],
@@ -215,7 +172,9 @@ mod tests {
             let candidates = non_tree_edges(&g, &tree);
             let set: Vec<EdgeId> = candidates.iter().copied().step_by(2).collect();
             let mut ledger = RoundLedger::new();
-            let mask = covered_mask(&tools, &set, &mut rng, &mut ledger);
+            let mut ws = ShortcutWorkspace::new(&g);
+            let mut mask = Vec::new();
+            covered_mask_into(&tools, &set, &mut rng, &mut ledger, &mut ws, &mut mask);
             for v in tree.tree_edge_children() {
                 assert_eq!(
                     mask[v.index()],
@@ -227,17 +186,18 @@ mod tests {
     }
 
     #[test]
-    fn covered_mask_into_matches_allocating_form() {
+    fn covered_mask_into_overwrites_a_junk_buffer() {
         let g = gen::sparse_two_ec(40, 30, 20, 3);
         let tree = RootedTree::mst(&g);
         let tools = ScTools::new(&g, &tree);
         let set = non_tree_edges(&g, &tree);
         let mut ledger = RoundLedger::new();
         let mut ws = ShortcutWorkspace::new(&g);
-        // Same seed on both paths: the rng must be consumed identically.
+        // Same seed on both calls: the rng must be consumed identically.
         let mut rng_a = StdRng::seed_from_u64(7);
         let mut rng_b = StdRng::seed_from_u64(7);
-        let a = covered_mask(&tools, &set, &mut rng_a, &mut ledger);
+        let mut a = Vec::new();
+        covered_mask_into(&tools, &set, &mut rng_a, &mut ledger, &mut ws, &mut a);
         let mut b = vec![true; 2]; // junk: must be overwritten
         covered_mask_into(&tools, &set, &mut rng_b, &mut ledger, &mut ws, &mut b);
         assert_eq!(a, b);
@@ -251,8 +211,19 @@ mod tests {
         let tools = ScTools::new(&g, &tree);
         let candidates = non_tree_edges(&g, &tree);
         let marked: Vec<bool> = (0..g.n()).map(|i| i % 3 != 0).collect();
+        let lcas = candidate_lcas(&tools, &candidates);
         let mut ledger = RoundLedger::new();
-        let counts = marked_cover_counts(&tools, &candidates, &marked, &mut ledger);
+        let mut ws = ShortcutWorkspace::new(&g);
+        let mut counts = Vec::new();
+        marked_cover_counts_into(
+            &tools,
+            &candidates,
+            &lcas,
+            &marked,
+            &mut ledger,
+            &mut ws,
+            &mut counts,
+        );
         for (i, &id) in candidates.iter().enumerate() {
             let expected = tree
                 .tree_edge_children()
@@ -270,8 +241,11 @@ mod tests {
         let tools = ScTools::new(&g, &tree);
         let candidates = non_tree_edges(&g, &tree);
         let set: Vec<EdgeId> = candidates.iter().copied().take(10).collect();
+        let lcas = candidate_lcas(&tools, &set);
         let mut ledger = RoundLedger::new();
-        let loads = path_load(&tools, &set, &mut ledger);
+        let mut ws = ShortcutWorkspace::new(&g);
+        let mut loads = Vec::new();
+        path_load_into(&tools, &set, &lcas, &mut ledger, &mut ws, &mut loads);
         for v in tree.tree_edge_children() {
             let expected = set
                 .iter()

@@ -33,11 +33,12 @@
 //! vertices through path-compressed nearest-marked-ancestor pointers
 //! instead of an `O(n)` sweep. The logical rounds charged, the RNG draw
 //! order, and every produced bit are identical to the dense reference
-//! ([`crate::naive::greedy_tap_reference`], pinned by tests); only the
-//! local computation got cheaper — cover counts are additionally cached
-//! while the marked set is unchanged, and the bucket's maximum load `d`
-//! is evaluated on the same virtual-tree skeleton instead of a dense
-//! probe plus `O(n)` scan, with the same rounds charged either way.
+//! (`greedy_tap_reference` in `tests/naive/mod.rs`, pinned by the
+//! `flat_equivalence` suite); only the local computation got cheaper —
+//! cover counts are additionally cached while the marked set is
+//! unchanged, and the bucket's maximum load `d` is evaluated on the same
+//! virtual-tree skeleton instead of a dense probe plus `O(n)` scan, with
+//! the same rounds charged either way.
 
 use crate::probes;
 use crate::tools::ScTools;
@@ -454,8 +455,8 @@ fn counts_over_active(
 /// scratch every probe pass runs on.
 ///
 /// The chosen edges, weight, repetition and fallback counts are
-/// bit-identical to the dense reference driver
-/// ([`crate::naive::greedy_tap_reference`]).
+/// bit-identical to the dense reference driver (`greedy_tap_reference`
+/// in `tests/naive/mod.rs`).
 pub fn parallel_greedy_tap(
     tools: &ScTools<'_>,
     config: &SetCoverConfig,
@@ -735,62 +736,6 @@ mod tests {
         }
     }
 
-    /// The sparse engine against the preserved dense driver: same
-    /// chosen edges, same counters, same ledger — across families,
-    /// sizes large enough to exercise the virtual-tree path, and seeds.
-    mod driver_equivalence {
-        use super::*;
-        use crate::naive::greedy_tap_reference;
-
-        fn assert_matches_reference(g: &decss_graphs::Graph, seed: u64) {
-            let tree = RootedTree::mst(g);
-            let tools = ScTools::new(g, &tree);
-            let config = SetCoverConfig { seed, ..SetCoverConfig::default() };
-            let mut ledger_new = RoundLedger::new();
-            let mut ws_new = ShortcutWorkspace::new(g);
-            let new = parallel_greedy_tap(&tools, &config, &mut ledger_new, &mut ws_new).unwrap();
-            let mut ledger_ref = RoundLedger::new();
-            let mut ws_ref = ShortcutWorkspace::new(g);
-            let reference =
-                greedy_tap_reference(&tools, &config, &mut ledger_ref, &mut ws_ref).unwrap();
-            assert_eq!(new.chosen, reference.chosen, "seed {seed}");
-            assert_eq!(new.weight, reference.weight, "seed {seed}");
-            assert_eq!(new.repetitions, reference.repetitions, "seed {seed}");
-            assert_eq!(new.fallbacks, reference.fallbacks, "seed {seed}");
-            assert_eq!(
-                ledger_new.breakdown().collect::<Vec<_>>(),
-                ledger_ref.breakdown().collect::<Vec<_>>(),
-                "seed {seed}"
-            );
-            assert_eq!(ledger_new.total_rounds(), ledger_ref.total_rounds(), "seed {seed}");
-        }
-
-        #[test]
-        fn matches_on_sparse_instances() {
-            for seed in 0..6 {
-                assert_matches_reference(&gen::sparse_two_ec(60, 45, 24, seed), seed);
-            }
-        }
-
-        #[test]
-        fn matches_on_structured_families() {
-            assert_matches_reference(&gen::grid(20, 20, 24, 11), 3);
-            assert_matches_reference(&gen::hard_sqrt_two_ec(400, 24, 12), 5);
-            assert_matches_reference(&gen::outerplanar_disk(300, 1.0, 24, 13), 7);
-            assert_matches_reference(&gen::gnp_two_ec(200, 0.04, 24, 14), 9);
-            assert_matches_reference(&gen::ladder(150, 24, 15), 11);
-        }
-
-        #[test]
-        fn matches_when_fallbacks_fire() {
-            // Tiny instances with few candidates push work into the
-            // deterministic fallback sweep on some seeds.
-            for seed in 0..8 {
-                assert_matches_reference(&gen::sparse_two_ec(12, 4, 24, seed), seed);
-            }
-        }
-    }
-
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -819,37 +764,6 @@ mod tests {
                     tree_edges.chain(res.chosen.iter().copied()).collect();
                 prop_assert!(algo::two_edge_connected_in(&g, all));
                 prop_assert_eq!(res.weight, g.weight_of(res.chosen.iter().copied()));
-            }
-
-            /// The sparse engine is bit-identical to the dense
-            /// reference on arbitrary instances and seeds.
-            #[test]
-            fn driver_matches_reference(
-                n in 10usize..80,
-                extra in 4usize..40,
-                seed in 0u64..500,
-            ) {
-                let g = gen::sparse_two_ec(n, extra, 24, seed);
-                let tree = RootedTree::mst(&g);
-                let tools = ScTools::new(&g, &tree);
-                let config = SetCoverConfig { seed, ..SetCoverConfig::default() };
-                let mut ledger_new = RoundLedger::new();
-                let mut ws_new = ShortcutWorkspace::new(&g);
-                let new = parallel_greedy_tap(&tools, &config, &mut ledger_new, &mut ws_new)
-                    .unwrap();
-                let mut ledger_ref = RoundLedger::new();
-                let mut ws_ref = ShortcutWorkspace::new(&g);
-                let reference = crate::naive::greedy_tap_reference(
-                    &tools, &config, &mut ledger_ref, &mut ws_ref,
-                ).unwrap();
-                prop_assert_eq!(new.chosen, reference.chosen);
-                prop_assert_eq!(new.weight, reference.weight);
-                prop_assert_eq!(new.repetitions, reference.repetitions);
-                prop_assert_eq!(new.fallbacks, reference.fallbacks);
-                prop_assert_eq!(
-                    ledger_new.breakdown().collect::<Vec<_>>(),
-                    ledger_ref.breakdown().collect::<Vec<_>>()
-                );
             }
         }
     }

@@ -31,8 +31,9 @@
 //! [`ShortcutWorkspace`] (per-part BFS over CSR slices, Steiner unions
 //! without hashing); the `*_ws` entry points reuse one workspace across
 //! parts and hierarchy levels. The pre-rewrite `HashMap`/`HashSet`
-//! implementations are preserved in [`crate::naive`] and the
-//! `flat_equivalence` suite pins these rewrites bit-identical to them.
+//! implementations are preserved in the test tree (`tests/naive/mod.rs`)
+//! and the `flat_equivalence` suite pins these rewrites bit-identical to
+//! them.
 
 use crate::partition::Partition;
 use crate::workspace::ShortcutWorkspace;
@@ -496,30 +497,6 @@ mod tests {
         let q = best_shortcut(&g, &bfs, &p);
         let d = algo::diameter(&g);
         assert!(q.cost() <= (4 * d as u64 + 8) * 4, "cost {} vs D {d}", q.cost());
-    }
-
-    #[test]
-    fn flat_matches_naive_on_a_fragment_partition() {
-        // Spot check here; the full pinning lives in the
-        // flat_equivalence proptest suite.
-        let g = gen::gnp_two_ec(96, 0.06, 24, 11);
-        let tree = decss_tree::RootedTree::mst(&g);
-        let euler = decss_tree::EulerTour::new(&tree);
-        let hld = decss_tree::HeavyLight::new(&tree, &euler);
-        let h = crate::fragments::FragmentHierarchy::new(&tree, &hld);
-        let bfs = algo::bfs_tree(&g, tree.root());
-        let mut ws = ShortcutWorkspace::new(&g);
-        for d in 0..h.num_levels() {
-            let p = h.level_partition(&g, d);
-            assert_eq!(
-                threshold_bfs_ws(&g, &bfs, &p, &mut ws),
-                crate::naive::threshold_bfs(&g, &bfs, &p)
-            );
-            assert_eq!(
-                tree_restricted_ws(&g, &bfs, &p, &mut ws),
-                crate::naive::tree_restricted(&g, &bfs, &p)
-            );
-        }
     }
 
     /// The families the pipeline runs on, small enough for a debug run,

@@ -11,7 +11,7 @@
 //!
 //! Construction and the aggregate sweeps run on flat scratch: one
 //! [`ShortcutWorkspace`] is reused across every hierarchy level's
-//! shortcut measurement, and the `*_into` sweep variants write into
+//! shortcut measurement, and the `*_into` sweeps write into
 //! caller-held buffers so the set-cover driver allocates nothing per
 //! round.
 
@@ -99,14 +99,8 @@ impl<'a> ScTools<'a> {
     }
 
     /// Descendants' aggregate (Theorem 5.1): for every vertex `u`, the
-    /// aggregate of `values[v]` over `v` in the subtree of `u`.
-    pub fn descendants_sum(&self, values: &[u64], op: Agg, ledger: &mut RoundLedger) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.descendants_sum_into(values, op, ledger, &mut out);
-        out
-    }
-
-    /// [`ScTools::descendants_sum`] into a caller-held buffer.
+    /// aggregate of `values[v]` over `v` in the subtree of `u`, written
+    /// into `out`.
     pub fn descendants_sum_into(
         &self,
         values: &[u64],
@@ -127,14 +121,7 @@ impl<'a> ScTools<'a> {
 
     /// Ancestors' aggregate (Theorem 5.2): for every vertex `u`, the
     /// aggregate of `values[v]` over `v` on the path `u → root`
-    /// (inclusive).
-    pub fn ancestors_sum(&self, values: &[u64], op: Agg, ledger: &mut RoundLedger) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.ancestors_sum_into(values, op, ledger, &mut out);
-        out
-    }
-
-    /// [`ScTools::ancestors_sum`] into a caller-held buffer.
+    /// (inclusive), written into `out`.
     pub fn ancestors_sum_into(
         &self,
         values: &[u64],
@@ -196,8 +183,9 @@ mod tests {
         let tools = ScTools::new(&g, &tree);
         let values: Vec<u64> = (0..g.n() as u64).map(|i| i * 3 + 1).collect();
         let mut ledger = RoundLedger::new();
+        let mut got = Vec::new();
         for op in [Agg::Sum, Agg::Min, Agg::Max, Agg::Xor] {
-            let got = tools.descendants_sum(&values, op, &mut ledger);
+            tools.descendants_sum_into(&values, op, &mut ledger, &mut got);
             assert_eq!(got, naive_desc(&tree, &values, op), "{op:?}");
         }
         assert_eq!(ledger.invocations_of("sc.descendants-sum"), 4);
@@ -211,7 +199,8 @@ mod tests {
         let tools = ScTools::new(&g, &tree);
         let values: Vec<u64> = (0..g.n() as u64).map(|i| (i * 7) % 13).collect();
         let mut ledger = RoundLedger::new();
-        let got = tools.ancestors_sum(&values, Agg::Sum, &mut ledger);
+        let mut got = Vec::new();
+        tools.ancestors_sum_into(&values, Agg::Sum, &mut ledger, &mut got);
         for v in g.vertices() {
             let mut acc = 0u64;
             let mut cur = Some(v);
@@ -231,10 +220,14 @@ mod tests {
         let values: Vec<u64> = (0..g.n() as u64).collect();
         let mut ledger = RoundLedger::new();
         let mut buf = vec![99u64; 3]; // wrong size and junk content: must be overwritten
+        let mut fresh = Vec::new();
         tools.descendants_sum_into(&values, Agg::Sum, &mut ledger, &mut buf);
-        assert_eq!(buf, tools.descendants_sum(&values, Agg::Sum, &mut ledger));
+        tools.descendants_sum_into(&values, Agg::Sum, &mut ledger, &mut fresh);
+        assert_eq!(buf, fresh);
+        let mut fresh = Vec::new();
         tools.ancestors_sum_into(&values, Agg::Max, &mut ledger, &mut buf);
-        assert_eq!(buf, tools.ancestors_sum(&values, Agg::Max, &mut ledger));
+        tools.ancestors_sum_into(&values, Agg::Max, &mut ledger, &mut fresh);
+        assert_eq!(buf, fresh);
     }
 
     #[test]

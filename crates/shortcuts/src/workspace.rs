@@ -11,7 +11,7 @@
 //! set-cover rounds.
 //!
 //! The rewrites that use this workspace are pinned bit-identical to the
-//! preserved [`crate::naive`] reference implementations by the
+//! preserved reference implementations in `tests/naive/mod.rs` by the
 //! `flat_equivalence` proptest suite.
 
 use decss_graphs::{EdgeId, Graph, VertexId};
@@ -41,9 +41,9 @@ pub struct ShortcutWorkspace {
     pub(crate) val_a: Vec<u64>,
     /// Second value buffer (aggregate outputs).
     pub(crate) val_b: Vec<u64>,
-    /// Third value buffer (`path_load` endpoint counts).
+    /// Third value buffer (`path_load_into` endpoint counts).
     pub(crate) val_c: Vec<u64>,
-    /// Fourth value buffer (`path_load` LCA counts).
+    /// Fourth value buffer (`path_load_into` LCA counts).
     pub(crate) val_d: Vec<u64>,
 }
 

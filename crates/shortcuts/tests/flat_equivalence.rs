@@ -1,17 +1,23 @@
 //! Pins the flat scratch-buffer rewrites of the shortcut pipeline
 //! bit-identical to the preserved naive reference implementations
-//! (`decss_shortcuts::naive`): same `ShortcutQuality` per level, same
-//! Steiner edge sets in the same order, same fragment-hierarchy layout.
+//! (`naive/mod.rs` beside this file): same `ShortcutQuality` per level,
+//! same Steiner edge sets in the same order, same fragment-hierarchy
+//! layout, and the same set-cover picks, counters and ledger.
 //!
 //! Run under `--release` in CI (like the congest determinism suite);
 //! the `*_at_4096` tests are `#[ignore]`d so the debug-mode tier-1 run
 //! stays fast — CI executes them with `--include-ignored`.
 
+mod naive;
+
+use decss_congest::ledger::RoundLedger;
 use decss_graphs::algo::bfs_tree;
 use decss_graphs::{gen, Graph};
 use decss_shortcuts::fragments::FragmentHierarchy;
+use decss_shortcuts::setcover::{parallel_greedy_tap, SetCoverConfig};
 use decss_shortcuts::shortcut::{threshold_bfs_ws, tree_restricted_ws};
-use decss_shortcuts::{naive, ShortcutWorkspace};
+use decss_shortcuts::tools::ScTools;
+use decss_shortcuts::ShortcutWorkspace;
 use decss_tree::{EulerTour, HeavyLight, RootedTree};
 use proptest::prelude::*;
 
@@ -168,5 +174,96 @@ fn pipeline_completes_at_4096() {
             "{family}: invalid output"
         );
         assert!(res.measured_sc > 0);
+    }
+}
+
+/// The sparse engine against the preserved dense driver: same
+/// chosen edges, same counters, same ledger — across families,
+/// sizes large enough to exercise the virtual-tree path, and seeds.
+mod driver_equivalence {
+    use super::*;
+    use crate::naive::greedy_tap_reference;
+
+    fn assert_matches_reference(g: &decss_graphs::Graph, seed: u64) {
+        let tree = RootedTree::mst(g);
+        let tools = ScTools::new(g, &tree);
+        let config = SetCoverConfig { seed, ..SetCoverConfig::default() };
+        let mut ledger_new = RoundLedger::new();
+        let mut ws_new = ShortcutWorkspace::new(g);
+        let new = parallel_greedy_tap(&tools, &config, &mut ledger_new, &mut ws_new).unwrap();
+        let mut ledger_ref = RoundLedger::new();
+        let mut ws_ref = ShortcutWorkspace::new(g);
+        let reference =
+            greedy_tap_reference(&tools, &config, &mut ledger_ref, &mut ws_ref).unwrap();
+        assert_eq!(new.chosen, reference.chosen, "seed {seed}");
+        assert_eq!(new.weight, reference.weight, "seed {seed}");
+        assert_eq!(new.repetitions, reference.repetitions, "seed {seed}");
+        assert_eq!(new.fallbacks, reference.fallbacks, "seed {seed}");
+        assert_eq!(
+            ledger_new.breakdown().collect::<Vec<_>>(),
+            ledger_ref.breakdown().collect::<Vec<_>>(),
+            "seed {seed}"
+        );
+        assert_eq!(ledger_new.total_rounds(), ledger_ref.total_rounds(), "seed {seed}");
+    }
+
+    #[test]
+    fn matches_on_sparse_instances() {
+        for seed in 0..6 {
+            assert_matches_reference(&gen::sparse_two_ec(60, 45, 24, seed), seed);
+        }
+    }
+
+    #[test]
+    fn matches_on_structured_families() {
+        assert_matches_reference(&gen::grid(20, 20, 24, 11), 3);
+        assert_matches_reference(&gen::hard_sqrt_two_ec(400, 24, 12), 5);
+        assert_matches_reference(&gen::outerplanar_disk(300, 1.0, 24, 13), 7);
+        assert_matches_reference(&gen::gnp_two_ec(200, 0.04, 24, 14), 9);
+        assert_matches_reference(&gen::ladder(150, 24, 15), 11);
+    }
+
+    #[test]
+    fn matches_when_fallbacks_fire() {
+        // Tiny instances with few candidates push work into the
+        // deterministic fallback sweep on some seeds.
+        for seed in 0..8 {
+            assert_matches_reference(&gen::sparse_two_ec(12, 4, 24, seed), seed);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The sparse engine is bit-identical to the dense
+        /// reference on arbitrary instances and seeds.
+        #[test]
+        fn driver_matches_reference(
+            n in 10usize..80,
+            extra in 4usize..40,
+            seed in 0u64..500,
+        ) {
+            let g = gen::sparse_two_ec(n, extra, 24, seed);
+            let tree = RootedTree::mst(&g);
+            let tools = ScTools::new(&g, &tree);
+            let config = SetCoverConfig { seed, ..SetCoverConfig::default() };
+            let mut ledger_new = RoundLedger::new();
+            let mut ws_new = ShortcutWorkspace::new(&g);
+            let new = parallel_greedy_tap(&tools, &config, &mut ledger_new, &mut ws_new)
+                .unwrap();
+            let mut ledger_ref = RoundLedger::new();
+            let mut ws_ref = ShortcutWorkspace::new(&g);
+            let reference = crate::naive::greedy_tap_reference(
+                &tools, &config, &mut ledger_ref, &mut ws_ref,
+            ).unwrap();
+            prop_assert_eq!(new.chosen, reference.chosen);
+            prop_assert_eq!(new.weight, reference.weight);
+            prop_assert_eq!(new.repetitions, reference.repetitions);
+            prop_assert_eq!(new.fallbacks, reference.fallbacks);
+            prop_assert_eq!(
+                ledger_new.breakdown().collect::<Vec<_>>(),
+                ledger_ref.breakdown().collect::<Vec<_>>()
+            );
+        }
     }
 }

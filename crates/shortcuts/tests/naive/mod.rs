@@ -2,27 +2,23 @@
 //! paths, preserved verbatim as reference implementations.
 //!
 //! These are the implementations the flat scratch-buffer rewrites in
-//! [`crate::shortcut`], [`crate::fragments`], and [`crate::partition`]
-//! replaced. They exist for two reasons:
-//!
-//! * the `flat_equivalence` proptest suite pins the rewrites
-//!   bit-identical to them (same [`ShortcutQuality`], same Steiner edge
-//!   sets, same hierarchy layout), and
-//! * the `bench_shortcut_pipeline` criterion suite reports the flat
-//!   rewrites' speedup against them head-to-head (the same pattern PR 2
-//!   used for the round-engine `naive` rows).
+//! [`decss_shortcuts::shortcut`], [`decss_shortcuts::fragments`],
+//! [`decss_shortcuts::partition`] and [`decss_shortcuts::setcover`]
+//! replaced. The `flat_equivalence` suite pins the rewrites
+//! bit-identical to them (same [`ShortcutQuality`], same Steiner edge
+//! sets, same hierarchy layout, same set-cover picks and ledger).
 //!
 //! Nothing here is called on the production path.
 
-use crate::partition::Partition;
-use crate::probes;
-use crate::setcover::{SetCoverConfig, SetCoverResult};
-use crate::shortcut::{ShortcutQuality, ShortcutScheme};
-use crate::tools::ScTools;
-use crate::workspace::ShortcutWorkspace;
 use decss_congest::ledger::RoundLedger;
 use decss_graphs::algo::BfsTree;
 use decss_graphs::{EdgeId, Graph, VertexId};
+use decss_shortcuts::partition::Partition;
+use decss_shortcuts::probes;
+use decss_shortcuts::setcover::{SetCoverConfig, SetCoverResult};
+use decss_shortcuts::shortcut::{ShortcutQuality, ShortcutScheme};
+use decss_shortcuts::tools::ScTools;
+use decss_shortcuts::workspace::ShortcutWorkspace;
 use decss_tree::{HeavyLight, RootedTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,8 +77,8 @@ pub fn best_shortcut(g: &Graph, bfs: &BfsTree, partition: &Partition) -> Shortcu
 
 /// The minimal BFS-tree subtree spanning `part` (pre-rewrite reference:
 /// climbs every vertex to the BFS root, then discards the chain above
-/// the common ancestor; [`crate::shortcut::steiner_edges`] stops at the
-/// ancestor and keeps the same edges in the same order).
+/// the common ancestor; [`decss_shortcuts::shortcut::steiner_edges`]
+/// stops at the ancestor and keeps the same edges in the same order).
 pub fn steiner_edges(bfs: &BfsTree, part: &[VertexId]) -> Vec<EdgeId> {
     let mut visited: HashSet<VertexId> = HashSet::new();
     let mut edges: Vec<(VertexId, EdgeId)> = Vec::new(); // (child, edge)
@@ -169,7 +165,8 @@ pub type NaiveLevels = Vec<Vec<Vec<VertexId>>>;
 
 /// The pre-rewrite fragment-hierarchy build: per-level `Vec`s of owned
 /// spines, plus `spine_of` in the same (level, index-within-level)
-/// convention as [`crate::fragments::FragmentHierarchy::spine_of`].
+/// convention as
+/// [`decss_shortcuts::fragments::FragmentHierarchy::spine_of`].
 pub fn fragment_levels(tree: &RootedTree, hld: &HeavyLight) -> (NaiveLevels, Vec<(u32, u32)>) {
     let n = tree.n();
     let mut levels: Vec<Vec<Vec<VertexId>>> = Vec::new();
@@ -203,11 +200,8 @@ pub fn fragment_levels(tree: &RootedTree, hld: &HeavyLight) -> (NaiveLevels, Vec
 /// The full pre-rewrite shortcut-construction path, end to end: build
 /// the per-level spine partitions (owned `Vec`s per spine, re-cloned
 /// into the partition) and measure both constructions on each. This is
-/// what [`crate::tools::ScTools::new`] cost before the flat rewrites;
-/// the `bench_shortcut_pipeline` `naive` rows time it. (Partition
-/// validation itself now runs on flat scratch either way, so the naive
-/// rows slightly *under*-price the old path — the reported speedup is
-/// conservative.)
+/// what [`decss_shortcuts::tools::ScTools::new`] cost before the flat
+/// rewrites.
 pub fn level_quality(
     g: &Graph,
     tree: &RootedTree,
@@ -226,8 +220,8 @@ pub fn level_quality(
 
 /// The pre-rewrite set-cover driver, preserved verbatim: the dense
 /// per-repetition cover probe plus full-array marked bookkeeping that
-/// [`crate::setcover::parallel_greedy_tap`]'s sparse virtual-tree engine
-/// replaced. The `driver_equivalence` tests pin the
+/// [`decss_shortcuts::setcover::parallel_greedy_tap`]'s sparse
+/// virtual-tree engine replaced. The `driver_equivalence` tests pin the
 /// rewrite bit-identical to this — same chosen edges, same repetition
 /// and fallback counts, same ledger breakdown.
 pub fn greedy_tap_reference(

@@ -12,19 +12,18 @@
 //! decss simulate   --input net.graph --protocol bfs [--root 0] [--bursts 8]
 //! decss scenario   --families grid,hard-sqrt --sizes 1000,10000 [--seeds 0,1] \
 //!                  [--algorithms shortcut,improved] [--epsilon 0.25] [--max-weight 64] \
-//!                  [--bandwidth B] [--fail-edges K] [--workers K] [--cache-cap N] \
-//!                  [--out runs.json]
+//!                  [--bandwidth B] [--fail-edges K] [--deadline-ms MS] [--trace LEVEL] \
+//!                  [--workers K] [--cache-cap N] [--out runs.json]
 //! decss serve      --jobs jobs.json [--workers K] [--cache-cap N] [--queue-cap N] \
-//!                  [--out reports.json] [--keep-going]
-//! decss serve      --trace trace.jsonl [--workers K] [--cache-cap N] [--queue-cap N] \
-//!                  [--pace] [--out reports.json]
+//!                  [--out reports.json] [--keep-going] [--restore PATH] [--snapshot PATH]
 //! decss trace gen  [--seed S] [--jobs N] [--arrival poisson|bursty] [--mean-gap-ms MS] \
 //!                  [--out trace.jsonl]
 //! decss trace replay --input trace.jsonl [--target ADDR] [--workers K] [--cache-cap N] \
 //!                  [--queue-cap N] [--pace] [--out reports.json]
 //! decss serve      --listen 127.0.0.1:8080 [--workers K] [--cache-cap N] [--queue-cap N] \
 //!                  [--max-conns N] [--read-timeout-ms MS] [--write-timeout-ms MS] \
-//!                  [--quota-rps R] [--quota-burst B] [--grace-ms MS]
+//!                  [--quota-rps R] [--quota-burst B] [--grace-ms MS] [--restore PATH] \
+//!                  [--snapshot PATH] [--snapshot-interval-ms MS]
 //! decss netstress  [--seed S] [--ops N] [--threads K] [--workers K] [--queue-cap N] [--faults]
 //! ```
 //!
@@ -42,6 +41,10 @@
 //! JSON document of reports plus service stats. `netstress` turns the
 //! network tier's chaos harness on a self-hosted server and fails on any
 //! contract violation.
+//!
+//! Each subcommand (and each `serve` mode) checks its arguments against
+//! the flags it reads before doing any work: an unknown flag, a stray
+//! argument or a flag missing its value is a usage error.
 //!
 //! Exit codes: `0` — success (or partial failure under `--keep-going`);
 //! `2` — the batch completed but some jobs failed (the document still
@@ -73,9 +76,8 @@ fn main() -> ExitCode {
             eprintln!("  decss gen        --family NAME --n N [--seed S] [--max-weight W]");
             eprintln!("  decss verify     --input FILE --edges ID[,ID...]");
             eprintln!("  decss simulate   --input FILE --protocol flood|bfs|leader|mst [--root R] [--bursts B]");
-            eprintln!("  decss scenario   --families F[,F...] --sizes N[,N...] [--seeds S[,S...]] [--algorithms NAME[,...]] [--epsilon E] [--max-weight W] [--bandwidth B] [--fail-edges K] [--workers K] [--cache-cap N] [--out FILE]");
+            eprintln!("  decss scenario   --families F[,F...] --sizes N[,N...] [--seeds S[,S...]] [--algorithms NAME[,...]] [--epsilon E] [--max-weight W] [--bandwidth B] [--fail-edges K] [--deadline-ms MS] [--trace summary|full] [--workers K] [--cache-cap N] [--out FILE]");
             eprintln!("  decss serve      --jobs FILE.json [--workers K] [--cache-cap N] [--queue-cap N] [--out FILE] [--keep-going] [--restore PATH] [--snapshot PATH]");
-            eprintln!("  decss serve      --trace FILE.jsonl [--workers K] [--cache-cap N] [--queue-cap N] [--pace] [--out FILE]");
             eprintln!("  decss trace      gen [--seed S] [--jobs N] [--arrival poisson|bursty] [--mean-gap-ms MS] [--out FILE]");
             eprintln!("  decss trace      replay --input FILE.jsonl [--target ADDR] [--workers K] [--cache-cap N] [--queue-cap N] [--pace] [--out FILE]");
             eprintln!("  decss serve      --listen ADDR [--workers K] [--cache-cap N] [--queue-cap N] [--max-conns N] [--read-timeout-ms MS] [--write-timeout-ms MS] [--quota-rps R] [--quota-burst B] [--grace-ms MS] [--restore PATH] [--snapshot PATH] [--snapshot-interval-ms MS]");
@@ -102,6 +104,26 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> 
     }
 }
 
+/// Rejects any argument outside the flags a subcommand reads, given as
+/// whitespace-separated lists: each `valued` flag takes the next
+/// argument as its value, each of `switches` stands alone. Subcommands
+/// call this before doing any work, so a misspelt flag fails instead of
+/// being ignored.
+fn check_flags(cmd: &str, args: &[String], valued: &str, switches: &str) -> Result<(), String> {
+    let listed = |list: &str, arg: &str| list.split_whitespace().any(|f| f == arg);
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if listed(valued, arg) {
+            if rest.next().is_none() {
+                return Err(format!("decss {cmd}: {arg} needs a value"));
+            }
+        } else if !listed(switches, arg) {
+            return Err(format!("decss {cmd}: unknown argument {arg}"));
+        }
+    }
+    Ok(())
+}
+
 fn load(args: &[String]) -> Result<Graph, String> {
     let path = flag(args, "--input").ok_or("--input FILE is required")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -125,6 +147,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         ),
     }
 }
+
+/// The request flags `solve` and `scenario` share. [`request_from_flags`]
+/// also reads `--seed`, which only `solve` accepts: `scenario` overrides
+/// the seed with each `--seeds` entry.
+const REQUEST_FLAGS: &str = "--epsilon --bandwidth --fail-edges --deadline-ms --trace";
 
 /// Builds a [`SolveRequest`] from the shared solver flags (`solve` and
 /// `scenario` speak the same vocabulary; `scenario` then overrides the
@@ -151,6 +178,8 @@ fn request_from_flags(args: &[String], algorithm: &str) -> Result<SolveRequest, 
 }
 
 fn solve(args: &[String]) -> Result<ExitCode, String> {
+    let valued = format!("{REQUEST_FLAGS} --input --algorithm --seed --deltas");
+    check_flags("solve", args, &valued, "--json")?;
     let g = load(args)?;
     let algorithm = flag(args, "--algorithm").unwrap_or("improved");
     let mut req = request_from_flags(args, algorithm)?;
@@ -171,6 +200,7 @@ fn solve(args: &[String]) -> Result<ExitCode, String> {
 /// `--names` prints bare names only (one per line; CI drives the
 /// registry-wide smoke test with it).
 fn algorithms(args: &[String]) -> Result<ExitCode, String> {
+    check_flags("algorithms", args, "", "--names")?;
     let session = SolverSession::new();
     if args.iter().any(|a| a == "--names") {
         for name in session.registry().names() {
@@ -188,6 +218,7 @@ fn algorithms(args: &[String]) -> Result<ExitCode, String> {
 /// Runs a message-level protocol on the round simulator and prints the
 /// metrics.
 fn simulate(args: &[String]) -> Result<ExitCode, String> {
+    check_flags("simulate", args, "--input --protocol --root --bursts", "")?;
     let g = load(args)?;
     let protocol = flag(args, "--protocol").ok_or("--protocol NAME is required")?;
     let root: u32 = parse_flag(args, "--root", 0)?;
@@ -241,6 +272,7 @@ fn simulate(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn generate(args: &[String]) -> Result<ExitCode, String> {
+    check_flags("gen", args, "--family --n --seed --max-weight", "")?;
     let family = flag(args, "--family").ok_or("--family NAME is required")?;
     let n: usize = flag(args, "--n")
         .ok_or("--n N is required")?
@@ -269,6 +301,11 @@ fn scenario(args: &[String]) -> Result<ExitCode, String> {
             .map(|x| x.trim().parse::<T>().map_err(|_| format!("bad {what} entry {x:?}")))
             .collect()
     }
+    let valued = format!(
+        "{REQUEST_FLAGS} --families --sizes --seeds --algorithms --max-weight --workers \
+         --cache-cap --out"
+    );
+    check_flags("scenario", args, &valued, "")?;
     let families: Vec<&str> = flag(args, "--families")
         .ok_or("--families F[,F...] is required")?
         .split(',')
@@ -395,14 +432,12 @@ fn scenario(args: &[String]) -> Result<ExitCode, String> {
 /// exit status is 2 when some jobs failed (0 under `--keep-going`), 1
 /// only for infrastructure errors.
 fn serve(args: &[String]) -> Result<ExitCode, String> {
-    if let Some(listen) = flag(args, "--listen") {
-        return serve_network(args, listen);
+    if args.iter().any(|a| a == "--listen") {
+        return serve_network(args);
     }
-    if let Some(trace_path) = flag(args, "--trace") {
-        return serve_trace(args, trace_path);
-    }
-    let jobs_path = flag(args, "--jobs")
-        .ok_or("--jobs FILE.json, --trace FILE.jsonl, or --listen ADDR is required")?;
+    let valued = "--jobs --workers --cache-cap --queue-cap --out --restore --snapshot";
+    check_flags("serve", args, valued, "--keep-going")?;
+    let jobs_path = flag(args, "--jobs").ok_or("--jobs FILE.json or --listen ADDR is required")?;
     let text =
         std::fs::read_to_string(jobs_path).map_err(|e| format!("reading {jobs_path}: {e}"))?;
     let specs = jobs::parse_job_specs(&text, FileAccess::Allowed)?;
@@ -483,58 +518,18 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// The shared replay knobs of `decss serve --trace` and `decss trace
-/// replay`.
-fn replay_config_from_flags(args: &[String]) -> Result<ReplayConfig, String> {
-    let defaults = ReplayConfig::default();
-    Ok(ReplayConfig {
-        workers: parse_flag(args, "--workers", defaults.workers)?,
-        queue_cap: parse_flag(args, "--queue-cap", defaults.queue_cap)?,
-        cache_cap: parse_flag(args, "--cache-cap", defaults.cache_cap)?,
-        pace: args.iter().any(|a| a == "--pace"),
-    })
-}
-
-/// Consumes a trace file through a local [`SolveService`] (the `decss
-/// serve --trace FILE` mode): every event is submitted in arrival
-/// order, the report document (replay header with tail latencies,
-/// service stats, per-job rows) goes to stdout or `--out`, and the
-/// drain audit must balance. Deliberate in-trace failures (cancels,
-/// expiries, failure storms) are data rows, not process errors — the
-/// exit code is 0 unless the infrastructure itself misbehaves.
-fn serve_trace(args: &[String], trace_path: &str) -> Result<ExitCode, String> {
-    let text =
-        std::fs::read_to_string(trace_path).map_err(|e| format!("reading {trace_path}: {e}"))?;
-    let cfg = replay_config_from_flags(args)?;
-    let outcome = trace::replay(&text, FileAccess::Allowed, &cfg)?;
-    match flag(args, "--out") {
-        Some(path) => {
-            std::fs::write(path, &outcome.document).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("serve: wrote {} trace-job reports to {path}", outcome.jobs);
-        }
-        None => print!("{}", outcome.document),
-    }
-    if outcome.failed > 0 {
-        eprintln!(
-            "serve: {} of {} trace jobs failed by design (cancels/expiries are trace data)",
-            outcome.failed, outcome.jobs
-        );
-    }
-    outcome
-        .audit
-        .expect("local replay audits")
-        .map_err(|e| format!("service log audit failed: {e}"))?;
-    Ok(ExitCode::SUCCESS)
-}
-
 /// `decss trace gen | replay`: generate a seeded workload trace, or
-/// replay one locally (same engine as `decss serve --trace`) or against
-/// a running server (`--target ADDR` posts each event as `POST
-/// /solve`).
+/// replay one through a local [`SolveService`] or against a running
+/// server (`--target ADDR` posts each event as `POST /solve`). A local
+/// replay submits every event in arrival order and its drain audit must
+/// balance. Deliberate in-trace failures (cancels, expiries, failure
+/// storms) are data rows, not process errors: the exit code is 0 unless
+/// the infrastructure itself misbehaves.
 fn trace_cmd(args: &[String]) -> Result<ExitCode, String> {
     match args.first().map(|s| s.as_str()) {
         Some("gen") => {
             let args = &args[1..];
+            check_flags("trace gen", args, "--seed --jobs --arrival --mean-gap-ms --out", "")?;
             let defaults = GenConfig::default();
             let cfg = GenConfig {
                 seed: parse_flag(args, "--seed", defaults.seed)?,
@@ -560,10 +555,18 @@ fn trace_cmd(args: &[String]) -> Result<ExitCode, String> {
         }
         Some("replay") => {
             let args = &args[1..];
+            let valued = "--input --target --workers --cache-cap --queue-cap --out";
+            check_flags("trace replay", args, valued, "--pace")?;
             let input = flag(args, "--input").ok_or("--input FILE.jsonl is required")?;
             let text =
                 std::fs::read_to_string(input).map_err(|e| format!("reading {input}: {e}"))?;
-            let cfg = replay_config_from_flags(args)?;
+            let defaults = ReplayConfig::default();
+            let cfg = ReplayConfig {
+                workers: parse_flag(args, "--workers", defaults.workers)?,
+                queue_cap: parse_flag(args, "--queue-cap", defaults.queue_cap)?,
+                cache_cap: parse_flag(args, "--cache-cap", defaults.cache_cap)?,
+                pace: args.iter().any(|a| a == "--pace"),
+            };
             let outcome = match flag(args, "--target") {
                 Some(target) => trace::replay_remote(&text, target, &cfg)?,
                 None => trace::replay(&text, FileAccess::Allowed, &cfg)?,
@@ -597,7 +600,12 @@ fn trace_cmd(args: &[String]) -> Result<ExitCode, String> {
 /// finish, the backlog runs dry, and the final audited accounting goes
 /// to stderr. Exits 0 on a clean drain, 1 on an audit failure or a
 /// connection-slot leak.
-fn serve_network(args: &[String], listen: &str) -> Result<ExitCode, String> {
+fn serve_network(args: &[String]) -> Result<ExitCode, String> {
+    let valued = "--listen --workers --cache-cap --queue-cap --max-conns --read-timeout-ms \
+                  --write-timeout-ms --quota-rps --quota-burst --grace-ms --restore --snapshot \
+                  --snapshot-interval-ms";
+    check_flags("serve --listen", args, valued, "")?;
+    let listen = flag(args, "--listen").ok_or("--listen ADDR is required")?;
     let workers: usize = parse_flag(args, "--workers", 2)?;
     let cache_cap: usize = parse_flag(args, "--cache-cap", 128)?;
     let queue_cap: usize = parse_flag(args, "--queue-cap", 64)?;
@@ -678,6 +686,12 @@ fn serve_network(args: &[String], listen: &str) -> Result<ExitCode, String> {
 /// freedom, and clean audit. Exits 0 on a contract-clean run, 1
 /// otherwise.
 fn netstress(args: &[String]) -> Result<ExitCode, String> {
+    check_flags(
+        "netstress",
+        args,
+        "--seed --ops --threads --workers --queue-cap",
+        "--faults",
+    )?;
     let mut config = StressConfig::default();
     config.seed = parse_flag(args, "--seed", config.seed)?;
     config.ops = parse_flag(args, "--ops", config.ops)?;
@@ -700,6 +714,7 @@ fn netstress(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn verify(args: &[String]) -> Result<ExitCode, String> {
+    check_flags("verify", args, "--input --edges", "")?;
     let g = load(args)?;
     let list = flag(args, "--edges").ok_or("--edges ID[,ID...] is required")?;
     let edges: Vec<EdgeId> = list

@@ -4,8 +4,8 @@
 //! the fingerprint must see through edge-id order (so cache keys agree
 //! on atlas instances no matter which path built them).
 
+use decss::graphs::fingerprint::graph_fingerprint;
 use decss::graphs::{algo, gen, GraphBuilder};
-use decss::service::graph_fingerprint;
 use proptest::prelude::*;
 
 fn any_family() -> impl Strategy<Value = gen::AtlasFamily> {

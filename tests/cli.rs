@@ -362,19 +362,20 @@ fn trace_gen_is_seed_deterministic_and_replayable() {
     );
     assert_eq!(text_a.lines().filter(|l| l.contains("\"algorithm\"")).count(), 8);
 
-    // Round-trip: the generated trace replays through `serve --trace`
+    // Round-trip: the generated trace replays through `trace replay`
     // with one report row per event and exit 0 even when the trace
     // deliberately includes cancellations or expiries.
     let path = tempfile("trace-roundtrip.jsonl", &text_a);
     let path = path.to_str().unwrap();
-    let (out, err, code) = decss_code(&["serve", "--trace", path, "--workers", "2"]);
+    let replay = || decss_code(&["trace", "replay", "--input", path, "--workers", "2"]);
+    let (out, err, code) = replay();
     assert_eq!(code, Some(0), "stderr: {err}");
     assert_eq!(out.matches("\"job\":").count(), 8, "{out}");
     assert!(out.contains("\"replay\""), "{out}");
     assert!(out.contains("\"tail_ms\""), "{out}");
 
-    // `trace replay --input` runs the same engine.
-    let (out2, _, code) = decss_code(&["trace", "replay", "--input", path, "--workers", "2"]);
+    // A second replay gives the same rows.
+    let (out2, _, code) = replay();
     assert_eq!(code, Some(0));
     let strip = |doc: &str| {
         doc.lines()
@@ -393,11 +394,7 @@ fn trace_gen_is_seed_deterministic_and_replayable() {
             })
             .collect::<Vec<_>>()
     };
-    assert_eq!(
-        strip(&out),
-        strip(&out2),
-        "replay rows are deterministic across entry points"
-    );
+    assert_eq!(strip(&out), strip(&out2), "replay rows are deterministic");
 }
 
 #[test]
@@ -411,4 +408,47 @@ fn trace_cmd_rejects_bad_invocations() {
     let (_, err, code) = decss_code(&["trace", "gen", "--arrival", "nope"]);
     assert_eq!(code, Some(1));
     assert!(err.contains("arrival"), "{err}");
+}
+
+/// Every subcommand and `serve` mode checks its arguments before doing
+/// any work: a misspelt flag, a retired one, a stray argument or a
+/// flag missing its value exits 1 with the usage, naming the argument.
+#[test]
+fn unknown_arguments_are_rejected() {
+    let cases: [(&[&str], &str); 15] = [
+        (
+            &["solve", "--input", "g", "--algoritm", "shortcut", "--sead", "9"],
+            "--algoritm",
+        ),
+        (&["solve", "--input", "g", "--shards", "2"], "--shards"),
+        (&["algorithms", "--name"], "--name"),
+        (&["gen", "--family", "grid", "--n", "9", "--sed", "1"], "--sed"),
+        (&["gen", "--family", "grid", "--n", "9", "extra"], "extra"),
+        (&["verify", "--input", "g", "--edge", "0"], "--edge"),
+        (&["simulate", "--input", "g", "--protocl", "bfs"], "--protocl"),
+        (
+            &["scenario", "--families", "grid", "--sizes", "9", "--shards", "2"],
+            "--shards",
+        ),
+        (
+            &["scenario", "--families", "grid", "--sizes", "9", "--seed", "3"],
+            "--seed",
+        ),
+        (&["serve", "--jobs", "j.json", "--worker", "2"], "--worker"),
+        (&["serve", "--trace", "t.jsonl"], "--trace"),
+        (&["serve", "--listen", "127.0.0.1:0", "--max-con", "2"], "--max-con"),
+        (&["trace", "gen", "--job", "4"], "--job"),
+        (&["trace", "replay", "--input", "t.jsonl", "--paced"], "--paced"),
+        (&["netstress", "--fault"], "--fault"),
+    ];
+    for (args, named) in cases {
+        let (out, err, code) = decss_code(args);
+        assert_eq!(code, Some(1), "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?} must fail before any work: {out}");
+        assert!(err.contains(&format!("unknown argument {named}")), "{args:?}: {err}");
+        assert!(err.contains("usage"), "{args:?}: {err}");
+    }
+    let (_, err, code) = decss_code(&["solve", "--input"]);
+    assert_eq!(code, Some(1));
+    assert!(err.contains("--input needs a value"), "{err}");
 }
