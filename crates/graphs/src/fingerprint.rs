@@ -1,5 +1,5 @@
-//! Order-independent graph fingerprints with `O(|delta|)` incremental
-//! updates.
+//! Order-independent graph fingerprints with `O(1)`-per-edge
+//! incremental updates.
 //!
 //! The fingerprint hashes each edge's `(u, v, weight)` triple through a
 //! splitmix64-style mixer and combines the per-edge hashes with a
@@ -7,8 +7,8 @@
 //! the combine is commutative, the fingerprint is independent of edge
 //! id order — and a mutation (insert / delete / reweight) updates it by
 //! adding/subtracting only the affected edges' hashes, instead of the
-//! `O(m)` rescan a sequential hash would need. That is what lets the
-//! delta-stream service key a mutated graph without walking it.
+//! `O(m)` rehash a sequential hash would need. That is what lets a
+//! delta solve report its mutated graph's fingerprint without rehashing.
 
 use crate::edge::EdgeId;
 use crate::graph::Graph;

@@ -63,8 +63,21 @@ impl PersistConfig {
     }
 }
 
+/// Requests served per connection before it is closed.
+const KEEP_ALIVE_REQUESTS: u32 = 64;
+
+/// `POST /jobs` retries a full queue this many times before marking the
+/// job shed, [`SUBMIT_RETRY_DELAY`] apart: a batch enumerates jobs
+/// faster than workers drain them, so a bounded wait keeps batches whole
+/// under their own load while `POST /solve` still sheds instantly.
+const SUBMIT_RETRIES: u32 = 200;
+
+/// Pause between `POST /jobs` submit retries.
+const SUBMIT_RETRY_DELAY: Duration = Duration::from_millis(5);
+
 /// Knobs of the network tier (the solve pool itself is sized by the
-/// [`ServiceConfig`] passed to [`NetServer::start`]).
+/// [`ServiceConfig`] passed to [`NetServer::start`]). Requests are
+/// parsed under the default [`Limits`].
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// Connection workers — at most this many connections are served
@@ -76,22 +89,10 @@ pub struct NetConfig {
     pub read_timeout: Duration,
     /// Budget for writing one response to a stalled reader.
     pub write_timeout: Duration,
-    /// Requests served per connection before it is closed.
-    pub keep_alive_requests: u32,
-    /// Parser caps (head size, header count, body size).
-    pub limits: Limits,
     /// Per-client token buckets; `None` disables quotas.
     pub quota: Option<QuotaConfig>,
     /// Injected faults (empty in production; the chaos harness's knob).
     pub fault: FaultPlan,
-    /// `POST /jobs` retries a full queue this many times before marking
-    /// the job shed (each attempt separated by `submit_retry_delay`) —
-    /// a batch enumerates jobs faster than workers drain them, so a
-    /// bounded wait keeps batches whole under their own load while
-    /// `POST /solve` still sheds instantly.
-    pub submit_retries: u32,
-    /// Pause between `POST /jobs` submit retries.
-    pub submit_retry_delay: Duration,
     /// Warm-state persistence (restore at start, snapshot on drain and
     /// on a timer). Default: fully disabled.
     pub persist: PersistConfig,
@@ -103,12 +104,8 @@ impl Default for NetConfig {
             max_connections: 8,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
-            keep_alive_requests: 64,
-            limits: Limits::default(),
             quota: None,
             fault: FaultPlan::none(),
-            submit_retries: 200,
-            submit_retry_delay: Duration::from_millis(5),
             persist: PersistConfig::default(),
         }
     }
@@ -744,7 +741,7 @@ fn read_one_request(
     let mut chunk = [0u8; 8192];
     loop {
         if !buf.is_empty() {
-            match http::parse_request(buf, &server.config.limits) {
+            match http::parse_request(buf, &Limits::default()) {
                 Ok(Parse::Ready { request, consumed }) => {
                     buf.drain(..consumed);
                     return ReadOutcome::Request(request);
@@ -829,9 +826,8 @@ fn serve_connection(server: &Arc<NetServer>, mut stream: TcpStream) {
             ReadOutcome::Request(request) => {
                 server.counters.requests.fetch_add(1, Ordering::Relaxed);
                 served += 1;
-                let close = request.wants_close()
-                    || served >= server.config.keep_alive_requests
-                    || server.is_draining();
+                let close =
+                    request.wants_close() || served >= KEEP_ALIVE_REQUESTS || server.is_draining();
                 let (status, body, extra) = handle_request(server, &request);
                 let bytes = http::response(status, &body, close, &extra);
                 if !write_response(server, &mut stream, status, &bytes) {
@@ -1034,9 +1030,9 @@ fn solve_batch(server: &Arc<NetServer>, req: &Request) -> Reply {
                 Err(SubmitError::Draining) => {
                     break Err(SolveError::Rejected("service is draining".into()))
                 }
-                Err(SubmitError::QueueFull) if attempts < server.config.submit_retries => {
+                Err(SubmitError::QueueFull) if attempts < SUBMIT_RETRIES => {
                     attempts += 1;
-                    std::thread::sleep(server.config.submit_retry_delay);
+                    std::thread::sleep(SUBMIT_RETRY_DELAY);
                 }
                 Err(SubmitError::QueueFull) => {
                     server.counters.shed.fetch_add(1, Ordering::Relaxed);

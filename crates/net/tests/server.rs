@@ -142,9 +142,7 @@ fn batches_share_the_cache_and_report_whole() {
 
 #[test]
 fn malformed_input_gets_structured_4xx() {
-    let mut net = NetConfig::default();
-    net.limits.max_body_bytes = 512;
-    let handle = start(net, small_service());
+    let handle = start(NetConfig::default(), small_service());
     let addr = handle.addr();
     let client = Client::new(addr);
 
@@ -164,10 +162,17 @@ fn malformed_input_gets_structured_4xx() {
     assert_eq!(resp.status, 400);
     assert!(resp.text().contains("not served over the network"), "{}", resp.text());
 
-    // Oversized declared body → 413 from the head alone.
-    let resp = client.post("/solve", &"x".repeat(600)).unwrap();
-    assert_eq!(resp.status, 413);
-    assert!(resp.text().contains("body_too_large"), "{}", resp.text());
+    // Oversized declared body (over the 1 MiB cap) → 413 from the head
+    // alone; no body byte is sent.
+    let reply = raw_exchange(
+        addr,
+        b"POST /solve HTTP/1.1\r\ncontent-length: 1048577\r\n\r\n",
+        Duration::from_secs(2),
+    )
+    .unwrap();
+    let reply = String::from_utf8_lossy(&reply).into_owned();
+    assert!(reply.starts_with("HTTP/1.1 413"), "{reply}");
+    assert!(reply.contains("body_too_large"), "{reply}");
 
     // Transfer-Encoding is refused, not mis-framed.
     let reply = raw_exchange(

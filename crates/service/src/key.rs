@@ -3,7 +3,7 @@
 
 use decss_graphs::fingerprint::graph_fingerprint;
 use decss_graphs::Graph;
-use decss_solver::{delta_fingerprint, SolveRequest};
+use decss_solver::SolveRequest;
 
 /// The full cache key of one job: the graph fingerprint plus the
 /// normalized request. Two jobs with equal keys produce byte-identical
@@ -19,12 +19,11 @@ use decss_solver::{delta_fingerprint, SolveRequest};
 /// filled.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct JobKey {
-    /// [`graph_fingerprint`] of the instance: vertex count, edge count,
-    /// and the multiset of `(u, v, weight)` triples, so two graphs share
-    /// it exactly when they are the same labelled weighted graph (up to
-    /// a 64-bit collision). It is order-independent and delta streams
-    /// update it in `O(|delta|)`, so a mutated instance's key is
-    /// computable without walking the mutated graph.
+    /// [`graph_fingerprint`] of the instance as submitted — for a delta
+    /// job, the base graph the batch applies to: vertex count, edge
+    /// count, and the multiset of `(u, v, weight)` triples, so two
+    /// graphs share it exactly when they are the same labelled weighted
+    /// graph (up to a 64-bit collision). It is order-independent.
     pub fingerprint: u64,
     /// The normalized request, rendered to a canonical string.
     pub request: String,
@@ -33,26 +32,17 @@ pub struct JobKey {
 impl JobKey {
     /// The key of `(g, req)`.
     ///
-    /// Delta jobs key under the **mutated** graph's fingerprint — the
-    /// chained value [`delta_fingerprint`] derives from the base graph
-    /// and the batch — so a follow-up job against the materialized
-    /// mutated graph, and a resubmission of the same delta job, land on
-    /// consistent fingerprints. (The request half still carries the
-    /// delta echo, so "solve the mutated graph from scratch" and
-    /// "apply this batch" remain distinct cache entries.)
+    /// Delta jobs key under their **base** graph's fingerprint: the
+    /// request half carries the batch (`deltas=[…]` in the params
+    /// echo), so a resubmitted delta job hits its entry, while another
+    /// batch on the same base and a from-scratch solve of the mutated
+    /// graph each key apart.
     pub fn new(g: &Graph, req: &SolveRequest) -> Self {
         // `params_echo` covers epsilon/variant/seed/bandwidth/fail_edges/
         // deltas with defaults spelled out; algorithm and trace are the
         // two result-shaping knobs it omits.
         let request = format!("{} {} trace={:?}", req.algorithm, req.params_echo(), req.trace);
-        let fingerprint = if req.deltas.is_empty() {
-            graph_fingerprint(g)
-        } else {
-            // An invalid batch fails the solve anyway; any deterministic
-            // key will do for its error row.
-            delta_fingerprint(g, &req.deltas).unwrap_or_else(|_| graph_fingerprint(g))
-        };
-        JobKey { fingerprint, request }
+        JobKey { fingerprint: graph_fingerprint(g), request }
     }
 }
 
@@ -77,7 +67,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_jobs_key_under_the_chained_mutated_fingerprint() {
+    fn delta_jobs_key_under_their_base_fingerprint() {
         use decss_graphs::EdgeId;
         use decss_solver::{mutate, GraphDelta};
         let g = gen::grid(4, 4, 20, 7);
@@ -87,17 +77,20 @@ mod tests {
         ];
         let req = SolveRequest::new("shortcut").deltas(deltas.clone());
         let key = JobKey::new(&g, &req);
-        // The fingerprint half is the mutated graph's, derived without
-        // materializing it...
-        let mutated = mutate(&g, &deltas).unwrap();
-        assert_eq!(key.fingerprint, graph_fingerprint(&mutated));
-        // ...and resubmitting the same delta job hits the same key,
-        // while a from-scratch solve of the mutated graph stays distinct
-        // through the request half.
+        assert_eq!(key.fingerprint, graph_fingerprint(&g));
+        // A resubmission hits the same key...
         assert_eq!(key, JobKey::new(&g, &req));
-        let plain = JobKey::new(&mutated, &SolveRequest::new("shortcut"));
-        assert_eq!(plain.fingerprint, key.fingerprint);
-        assert_ne!(plain, key);
+        // ...while another batch on the same base, and a from-scratch
+        // solve of the mutated graph, each key apart.
+        let other = SolveRequest::new("shortcut")
+            .deltas(vec![GraphDelta::Reweight { edge: EdgeId(2), weight: 124 }]);
+        assert_ne!(key, JobKey::new(&g, &other));
+        let mutated = mutate(&g, &deltas).unwrap();
+        assert_ne!(key, JobKey::new(&mutated, &SolveRequest::new("shortcut")));
+        // An invalid batch still keys (its solve fails with a row).
+        let invalid =
+            SolveRequest::new("shortcut").deltas(vec![GraphDelta::Delete { edge: EdgeId(10_000) }]);
+        assert_eq!(JobKey::new(&g, &invalid).fingerprint, graph_fingerprint(&g));
     }
 
     #[test]

@@ -145,8 +145,8 @@ pub fn mutate(g: &Graph, deltas: &[GraphDelta]) -> Result<Graph, DeltaError> {
 
 /// The fingerprint [`mutate`]`(g, deltas)` would have, without building
 /// the mutated graph: the base accumulator plus the batch's edge-hash
-/// updates. This is how a delta-stream service keys the mutated
-/// instance ("chained" fingerprints) before any solve runs.
+/// updates. It equals the `fingerprint` a delta solve reports, so a
+/// caller can check that echo against the base graph and the batch.
 ///
 /// # Errors
 ///
@@ -230,8 +230,8 @@ impl DeltaPlan {
         Graph::from_edges(g.n(), survivors.chain(inserts)).expect("validated delta batch")
     }
 
-    /// Folds the batch into a fingerprint accumulator — `O(|delta|)`,
-    /// reading the pre-batch triples from `g` (call before mutating).
+    /// Folds the batch into a fingerprint accumulator: walks all `m` edges
+    /// of `g`, hashing the pre-batch triples of touched ones (call first).
     fn update_fingerprint(&self, g: &Graph, fp: &mut FingerprintAcc) {
         for (id, e) in g.edges() {
             if self.deleted[id.index()] {
@@ -382,6 +382,9 @@ fn merge_sorted(
 /// every apply is byte-identical to a fresh
 /// [`crate::shortcut_two_ecss_with`] on the mutated graph.
 ///
+/// It holds no scratch: `new` and `apply` allocate a [`ShortcutWorkspace`]
+/// per call, so a retained or cloned instance is its graph and state.
+///
 /// ```
 /// use decss_graphs::gen;
 /// use decss_shortcuts::dynamic::{DynamicInstance, GraphDelta};
@@ -403,23 +406,11 @@ fn merge_sorted(
 /// assert_eq!(result.edges, fresh.edges);
 /// assert!(!stats.fell_back);
 /// ```
+#[derive(Clone)]
 pub struct DynamicInstance {
     graph: Graph,
     fp: FingerprintAcc,
     state: Option<SolvedState>,
-    ws: ShortcutWorkspace,
-}
-
-impl Clone for DynamicInstance {
-    fn clone(&self) -> Self {
-        DynamicInstance {
-            graph: self.graph.clone(),
-            fp: self.fp,
-            state: self.state.clone(),
-            // Scratch is epoch-stamped and never carries results.
-            ws: ShortcutWorkspace::new(&self.graph),
-        }
-    }
 }
 
 impl DynamicInstance {
@@ -428,9 +419,8 @@ impl DynamicInstance {
     /// that happens per [`apply`](DynamicInstance::apply)).
     pub fn new(graph: Graph) -> Self {
         let fp = FingerprintAcc::of(&graph);
-        let mut ws = ShortcutWorkspace::new(&graph);
-        let state = SolvedState::build(&graph, &mut ws);
-        DynamicInstance { graph, fp, state, ws }
+        let state = SolvedState::build(&graph, &mut ShortcutWorkspace::new(&graph));
+        DynamicInstance { graph, fp, state }
     }
 
     /// The instance's current (post-mutation) graph.
@@ -438,8 +428,8 @@ impl DynamicInstance {
         &self.graph
     }
 
-    /// Order-independent fingerprint of the current graph, maintained
-    /// incrementally across deltas (`O(|delta|)` per apply).
+    /// Order-independent fingerprint of the current graph, carried across
+    /// deltas: each apply walks all `m` edges, hashing only touched ones.
     pub fn fingerprint(&self) -> u64 {
         self.fp.value()
     }
@@ -464,24 +454,31 @@ impl DynamicInstance {
     ) -> Result<(ShortcutResult, IncrementalStats), DeltaError> {
         let plan = DeltaPlan::validate(&self.graph, deltas)?;
         plan.update_fingerprint(&self.graph, &mut self.fp);
+        // Stamps are epoch-based, so fresh scratch solves like reused scratch.
+        let mut ws = ShortcutWorkspace::new(&self.graph);
         let mut stats = IncrementalStats::default();
         if plan.structural() {
-            self.apply_structural(&plan, &mut stats);
+            self.apply_structural(&plan, &mut ws, &mut stats);
         } else {
-            self.apply_reweights(&plan, &mut stats);
+            self.apply_reweights(&plan, &mut ws, &mut stats);
         }
         let state = match &self.state {
             Some(state) => state,
             None => return Err(DeltaError::NotTwoEdgeConnected),
         };
-        let result = solve_from_state(&self.graph, state, config, &mut self.ws)?;
+        let result = solve_from_state(&self.graph, state, config, &mut ws)?;
         Ok((result, stats))
     }
 
     /// Reweight-only batch: weights move in place and the MST is
     /// re-derived by a sorted merge; radii are hop counts, so if the
     /// tree's edge set is unchanged the whole decomposition survives.
-    fn apply_reweights(&mut self, plan: &DeltaPlan, stats: &mut IncrementalStats) {
+    fn apply_reweights(
+        &mut self,
+        plan: &DeltaPlan,
+        ws: &mut ShortcutWorkspace,
+        stats: &mut IncrementalStats,
+    ) {
         let changed_ids: Vec<EdgeId> = self
             .graph
             .edge_ids()
@@ -497,13 +494,13 @@ impl DynamicInstance {
             // build so the error is not sticky for no reason.
             if self.state.is_none() {
                 stats.fell_back = true;
-                self.state = SolvedState::build(&self.graph, &mut self.ws);
+                self.state = SolvedState::build(&self.graph, ws);
             }
             return;
         }
         let Some(state) = self.state.take() else {
             stats.fell_back = true;
-            self.state = SolvedState::build(&self.graph, &mut self.ws);
+            self.state = SolvedState::build(&self.graph, ws);
             return;
         };
         let mut changed = changed_ids;
@@ -522,8 +519,7 @@ impl DynamicInstance {
             }
             Some(tree_ids) => {
                 stats.fell_back = true;
-                self.state =
-                    Some(SolvedState::from_tree(&self.graph, sorted, tree_ids, &mut self.ws));
+                self.state = Some(SolvedState::from_tree(&self.graph, sorted, tree_ids, ws));
             }
             None => {
                 // Unreachable for pure reweights (connectivity is
@@ -537,17 +533,23 @@ impl DynamicInstance {
     /// Structural batch: ids compact, the graph rebuilds, and the
     /// decomposition is reused only when the tree and BFS backbone
     /// provably survived the mutation.
-    fn apply_structural(&mut self, plan: &DeltaPlan, stats: &mut IncrementalStats) {
+    fn apply_structural(
+        &mut self,
+        plan: &DeltaPlan,
+        ws: &mut ShortcutWorkspace,
+        stats: &mut IncrementalStats,
+    ) {
         let new_graph = plan.build_graph(&self.graph);
-        let updated = self.state.take().and_then(|state| {
-            update_structural(&new_graph, &self.graph, state, plan, &mut self.ws, stats)
-        });
+        let updated = self
+            .state
+            .take()
+            .and_then(|state| update_structural(&new_graph, &self.graph, state, plan, ws, stats));
         self.graph = new_graph;
         self.state = match updated {
             Some(state) => state.into(),
             None => {
                 *stats = IncrementalStats { fell_back: true, ..IncrementalStats::default() };
-                SolvedState::build(&self.graph, &mut self.ws)
+                SolvedState::build(&self.graph, ws)
             }
         };
     }
@@ -795,8 +797,8 @@ mod tests {
 
     #[test]
     fn repeated_applies_reuse_the_same_instance() {
-        // Dirty-workspace reuse: one instance absorbs several batches,
-        // each pinned against a fresh solve of its own mutated graph.
+        // One instance absorbs several batches, each pinned against a
+        // fresh solve of its own mutated graph.
         let g = gen::outerplanar_disk(64, 1.0, 24, 9);
         let config = ShortcutConfig::default();
         let mut inst = DynamicInstance::new(g.clone());

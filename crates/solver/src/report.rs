@@ -67,9 +67,9 @@ pub struct SolveReport {
     /// What the incremental engine re-ran, for delta-stream `shortcut`
     /// solves (`None` for every other solve).
     pub incremental: Option<IncrementalStats>,
-    /// Order-independent fingerprint of the solved (mutated) graph,
-    /// echoed for delta requests so callers can chain follow-up cache
-    /// keys without rehashing the graph.
+    /// Order-independent fingerprint of the solved (mutated) graph, echoed
+    /// for delta requests: [`delta_fingerprint`](crate::delta_fingerprint)
+    /// of the base graph and the batch.
     pub fingerprint: Option<u64>,
     /// Whether the chosen subgraph was verified 2-edge-connected and
     /// spanning (the session re-checks every output).

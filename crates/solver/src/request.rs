@@ -69,8 +69,9 @@ pub struct SolveRequest {
     /// Edge deltas to apply to the input graph before solving, with
     /// [`GraphDelta`]'s pre-batch-id semantics. For the `shortcut`
     /// algorithm the session solves the mutated graph *incrementally*
-    /// against its retained
-    /// [`DynamicInstance`](decss_shortcuts::DynamicInstance) state (the
+    /// against the retained
+    /// [`DynamicInstance`](decss_shortcuts::DynamicInstance) of the
+    /// input graph, the base, which the batch leaves untouched (the
     /// report's `incremental` block says what was redone); other
     /// algorithms solve the mutated graph from scratch. Either way the
     /// report's edge ids live in the mutated graph's id space. Empty

@@ -16,9 +16,10 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// How many [`DynamicInstance`]s a session retains before evicting the
-/// lot — each holds a full graph plus decomposition, so the cache is
-/// deliberately small; a delta stream touches one or two entries.
+/// How many base graphs' [`DynamicInstance`]s a session retains before
+/// evicting the lot — each holds a full graph plus decomposition, so
+/// the cache is deliberately small; a delta stream against one base
+/// touches one entry.
 const DYNAMIC_CACHE_CAP: usize = 32;
 
 /// A reusable solving session: owns the [`Registry`] and the shared
@@ -30,17 +31,19 @@ const DYNAMIC_CACHE_CAP: usize = 32;
 /// by the parity suite's dirty-session tests).
 ///
 /// Delta-stream requests ([`SolveRequest::deltas`]) against the
-/// `shortcut` algorithm additionally keep a [`DynamicInstance`] per
-/// graph fingerprint, so a stream of mutations re-solves incrementally
-/// instead of from scratch; see
-/// [`decss_shortcuts::dynamic`] for the engine and its byte-identical
-/// guarantee.
+/// `shortcut` algorithm additionally keep one [`DynamicInstance`] per
+/// *base* graph, keyed by its fingerprint: each batch is applied to a
+/// clone of the base, so every batch against that base re-solves
+/// incrementally instead of from scratch, and the mutated result is
+/// dropped with the report. A request against a mutated graph names a
+/// new base and builds it cold. See [`decss_shortcuts::dynamic`] for the
+/// engine and its byte-identical guarantee.
 #[derive(Default)]
 pub struct SolverSession {
     registry: Registry,
     cx: SolveCx,
-    /// Retained incremental pipeline state, keyed by the fingerprint of
-    /// each instance's *current* (post-mutation) graph.
+    /// Retained incremental pipeline state of each base graph, keyed by
+    /// its fingerprint; never mutated by a batch.
     dynamic: HashMap<u64, DynamicInstance>,
 }
 
@@ -170,8 +173,9 @@ impl SolverSession {
 
     /// The delta-stream fast path: look up (or build) the
     /// [`DynamicInstance`] for the request's base graph, apply the
-    /// batch incrementally, and assemble the exact report the
-    /// `shortcut` solver would have produced on the mutated graph.
+    /// batch incrementally to a clone of it, and assemble the exact
+    /// report the `shortcut` solver would have produced on the mutated
+    /// graph.
     fn solve_deltas_incremental(
         &mut self,
         g: &Graph,
@@ -183,15 +187,17 @@ impl SolverSession {
         // Timed from here so a cold solve honestly includes the one-off
         // decomposition build, like a fresh pipeline run would.
         let started = Instant::now();
-        let fp0 = graph_fingerprint(g);
-        let mut inst = match self.dynamic.remove(&fp0) {
-            Some(inst) => inst,
-            None => DynamicInstance::new(g.clone()),
-        };
-        // Park the base state back under its own key: a clone is O(n+m),
-        // so other delta batches against the same base stay incremental
-        // instead of paying a full rebuild each.
-        self.park(fp0, inst.clone());
+        let fp = graph_fingerprint(g);
+        if self.dynamic.len() >= DYNAMIC_CACHE_CAP && !self.dynamic.contains_key(&fp) {
+            self.dynamic.clear();
+        }
+        // The base stays untouched, so every batch against it stays
+        // incremental; the mutated clone is dropped with the report.
+        let mut inst = self
+            .dynamic
+            .entry(fp)
+            .or_insert_with(|| DynamicInstance::new(g.clone()))
+            .clone();
         match inst.apply(&req.deltas, &config) {
             Ok((res, stats)) => {
                 let mut report = shortcut_report(res, req);
@@ -204,24 +210,10 @@ impl SolverSession {
                 report.incremental = Some(stats);
                 report.fingerprint = Some(inst.fingerprint());
                 report.wall_ms = started.elapsed().as_secs_f64() * 1e3;
-                self.park(inst.fingerprint(), inst);
                 Ok(report)
             }
-            Err(err @ DeltaError::Invalid { .. }) => Err(delta_error(err)),
-            Err(DeltaError::NotTwoEdgeConnected) => {
-                // The mutation committed: keep the instance around so a
-                // later repairing batch can chain off it.
-                self.park(inst.fingerprint(), inst);
-                Err(SolveError::NotTwoEdgeConnected)
-            }
+            Err(err) => Err(delta_error(err)),
         }
-    }
-
-    fn park(&mut self, fp: u64, inst: DynamicInstance) {
-        if self.dynamic.len() >= DYNAMIC_CACHE_CAP && !self.dynamic.contains_key(&fp) {
-            self.dynamic.clear();
-        }
-        self.dynamic.insert(fp, inst);
     }
 }
 
@@ -282,7 +274,7 @@ pub fn inject_failures(g: &Graph, k: u32, seed: u64) -> (Option<Graph>, Vec<Edge
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decss_graphs::gen;
+    use decss_graphs::{gen, VertexId};
 
     #[test]
     fn unknown_algorithm_lists_the_registry() {
@@ -462,9 +454,9 @@ mod tests {
 
     #[test]
     fn delta_solves_chain_across_requests() {
-        // Batch 2 starts from batch 1's mutated graph: the session finds
-        // the retained instance under the chained fingerprint and both
-        // solves stay identical to fresh runs.
+        // Batch 2 is sent against batch 1's materialized mutated graph:
+        // the session retains only bases, so it builds that graph's
+        // instance cold, and both solves stay identical to fresh runs.
         let g = gen::grid(7, 7, 24, 3);
         let tree = decss_tree::RootedTree::mst(&g);
         let nt: Vec<EdgeId> = g.edge_ids().filter(|&e| !tree.is_tree_edge(e)).collect();
@@ -483,8 +475,8 @@ mod tests {
             .unwrap();
         assert_eq!(r2.edges, fresh.edges);
         assert_eq!(r2.weight, fresh.weight);
-        // And the base instance was parked: re-solving from the original
-        // graph with a different batch still matches fresh.
+        // And the original base is still retained: re-solving from it
+        // with a different batch still matches fresh.
         let d3 = vec![GraphDelta::Delete { edge: nt[2] }];
         let g3 = mutate(&g, &d3).unwrap();
         if algo::is_two_edge_connected(&g3) {
@@ -494,6 +486,56 @@ mod tests {
                 .unwrap();
             assert_eq!(r3.edges, fresh3.edges);
         }
+    }
+
+    #[test]
+    fn delta_batches_retain_only_their_base() {
+        // Forty batches against one base leave one retained instance,
+        // the base's: no mutated result is kept, so the cap never
+        // evicts the base and no batch rebuilds it cold.
+        let g = gen::grid(5, 5, 16, 2);
+        let fresh_of = |deltas: &[GraphDelta]| {
+            let mutated = mutate(&g, deltas).unwrap();
+            SolverSession::new()
+                .solve(&mutated, &SolveRequest::new("shortcut"))
+                .unwrap()
+        };
+        let delta_req =
+            |deltas: &[GraphDelta]| SolveRequest::new("shortcut").deltas(deltas.to_vec());
+        let mut session = SolverSession::new();
+        let mut last = None;
+        for i in 0..40u32 {
+            let edge = EdgeId(i % g.m() as u32);
+            let batch = vec![GraphDelta::Reweight { edge, weight: 100 + u64::from(i) }];
+            let report = session.solve(&g, &delta_req(&batch)).unwrap();
+            last = Some((batch, report));
+        }
+        let only_the_base = |session: &SolverSession| {
+            session.dynamic.len() == 1 && session.dynamic.contains_key(&graph_fingerprint(&g))
+        };
+        assert!(only_the_base(&session));
+        let (batch, report) = last.unwrap();
+        let fresh = fresh_of(&batch);
+        assert_eq!(report.edges, fresh.edges);
+        assert_eq!(report.weight, fresh.weight);
+        assert_eq!(report.rounds, fresh.rounds);
+        assert_eq!(report.level_quality, fresh.level_quality);
+
+        // Deleting an edge of the degree-2 corner leaves a bridge: the
+        // batch fails, and its mutated graph is not retained either.
+        assert_eq!(g.degree(VertexId(0)), 2);
+        let corner = vec![GraphDelta::Delete { edge: g.neighbors(VertexId(0))[0].0 }];
+        assert!(matches!(
+            session.solve(&g, &delta_req(&corner)),
+            Err(SolveError::NotTwoEdgeConnected)
+        ));
+        assert!(only_the_base(&session));
+        let batch = vec![GraphDelta::Reweight { edge: EdgeId(7), weight: 3 }];
+        let report = session.solve(&g, &delta_req(&batch)).unwrap();
+        let fresh = fresh_of(&batch);
+        assert_eq!(report.edges, fresh.edges);
+        assert_eq!(report.weight, fresh.weight);
+        assert!(only_the_base(&session));
     }
 
     #[test]

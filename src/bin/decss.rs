@@ -621,6 +621,8 @@ fn serve_network(args: &[String]) -> Result<ExitCode, String> {
         let refill_per_sec: f64 = rps.parse().map_err(|_| format!("bad --quota-rps {rps}"))?;
         let burst: f64 = parse_flag(args, "--quota-burst", (refill_per_sec * 2.0).max(1.0))?;
         net = net.quota(QuotaConfig { refill_per_sec, burst });
+    } else if flag(args, "--quota-burst").is_some() {
+        return Err("decss serve --listen: --quota-burst needs --quota-rps".into());
     }
     if let Some(path) = flag(args, "--restore") {
         net = net.restore_from(path);
@@ -629,6 +631,9 @@ fn serve_network(args: &[String]) -> Result<ExitCode, String> {
         net = net.snapshot_to(path);
     }
     if let Some(ms) = flag(args, "--snapshot-interval-ms") {
+        if flag(args, "--snapshot").is_none() {
+            return Err("decss serve --listen: --snapshot-interval-ms needs --snapshot".into());
+        }
         let ms: u64 = ms.parse().map_err(|_| format!("bad --snapshot-interval-ms {ms}"))?;
         net = net.snapshot_interval(Duration::from_millis(ms.max(1)));
     }

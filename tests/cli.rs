@@ -452,3 +452,43 @@ fn unknown_arguments_are_rejected() {
     assert_eq!(code, Some(1));
     assert!(err.contains("--input needs a value"), "{err}");
 }
+
+#[test]
+fn serve_listen_rejects_a_dependent_flag_without_its_base() {
+    // Alone, each flag would be parsed and dropped while the server
+    // ran, so it is a usage error before the listener binds. The wait
+    // is bounded, so a regression fails instead of serving forever.
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let cases = [
+        ("--quota-burst", "not-a-number", "--quota-rps"),
+        ("--snapshot-interval-ms", "50", "--snapshot"),
+    ];
+    for (dependent, value, base) in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_decss"))
+            .args(["serve", "--listen", "127.0.0.1:0", dependent, value])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while child.try_wait().expect("wait").is_none() {
+            if Instant::now() > deadline {
+                child.kill().ok();
+                child.wait().ok();
+                panic!("serve --listen with {dependent} alone kept serving");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("output");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{dependent}: {err}");
+        assert!(out.stdout.is_empty(), "{dependent}: {err}");
+        assert!(err.contains(&format!("{dependent} needs {base}")), "{err}");
+        assert!(err.contains("usage"), "{dependent}: {err}");
+        assert!(
+            !err.contains("listening"),
+            "{dependent} failed only after binding: {err}"
+        );
+    }
+}

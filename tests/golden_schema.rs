@@ -362,9 +362,9 @@ fn delta_job_rows_pin_the_incremental_schema() {
     let (out, err, ok) = decss(&["serve", "--jobs", jobs_path.to_str().expect("utf8 path")]);
     assert!(ok, "delta serve failed: {err}");
 
-    // Delta rows carry the report's incremental block and the chained
-    // fingerprint, wedged (in that order) between the solver fields and
-    // the trailing wall_ms.
+    // Delta rows carry the report's incremental block and the mutated
+    // graph's fingerprint, wedged (in that order) between the solver
+    // fields and the trailing wall_ms.
     let rows: Vec<&str> = out.lines().filter(|l| l.contains("\"job\"")).collect();
     assert_eq!(rows.len(), 2);
     let want: Vec<String> = [
@@ -411,9 +411,9 @@ fn delta_job_rows_pin_the_incremental_schema() {
             "fingerprint must be emitted: {row}"
         );
     }
-    // Resubmitting the same delta batch chains onto the mutated
-    // fingerprint: the duplicate job is a cache hit (single worker, so
-    // deterministically the second row).
+    // Resubmitting the same delta batch lands on the same (base
+    // fingerprint, request) key: the duplicate job is a cache hit
+    // (single worker, so deterministically the second row).
     assert!(rows[0].contains("\"cache_hit\": false"), "{}", rows[0]);
     assert!(rows[1].contains("\"cache_hit\": true"), "{}", rows[1]);
     // And the two reports agree byte-for-byte once wall_ms and the row
