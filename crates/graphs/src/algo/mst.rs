@@ -35,9 +35,23 @@ impl std::error::Error for MstError {}
 pub fn minimum_spanning_tree(g: &Graph) -> Result<Vec<EdgeId>, MstError> {
     let mut order: Vec<EdgeId> = g.edge_ids().collect();
     order.sort_by_key(|&id| (g.weight(id), id));
+    kruskal_scan(g, &order)
+}
+
+/// The union-find scan of Kruskal's algorithm over `order`, taken as
+/// already sorted. On the `(weight, id)` order this is
+/// [`minimum_spanning_tree`]; a caller that keeps that order across
+/// reweights calls it without sorting again.
+///
+/// Returns the tree's edge ids sorted by id.
+///
+/// # Errors
+///
+/// Returns [`MstError`] if the graph is disconnected.
+pub fn kruskal_scan(g: &Graph, order: &[EdgeId]) -> Result<Vec<EdgeId>, MstError> {
     let mut uf = UnionFind::new(g.n());
     let mut tree = Vec::with_capacity(g.n().saturating_sub(1));
-    for id in order {
+    for &id in order {
         let e = g.edge(id);
         if uf.union(e.u.index(), e.v.index()) {
             tree.push(id);

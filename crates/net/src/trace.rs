@@ -347,8 +347,8 @@ pub struct ReplayOutcome {
     pub jobs: usize,
 }
 
-/// Percentile (nearest-rank) over an unsorted sample of microseconds,
-/// in milliseconds.
+/// Percentile (nearest-rank) over a sample of microseconds sorted
+/// ascending, in milliseconds.
 fn percentile_ms(sorted_us: &[u64], p: f64) -> f64 {
     if sorted_us.is_empty() {
         return 0.0;

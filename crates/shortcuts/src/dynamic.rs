@@ -46,7 +46,7 @@ use crate::shortcut::{
 use crate::tools::ScTools;
 use crate::twoecss::{augment, NotTwoEdgeConnected, ShortcutConfig, ShortcutResult};
 use crate::workspace::ShortcutWorkspace;
-use decss_graphs::algo::{self, BfsTree, UnionFind};
+use decss_graphs::algo::{self, BfsTree};
 use decss_graphs::fingerprint::FingerprintAcc;
 use decss_graphs::{EdgeId, Graph, VertexId, Weight};
 use decss_tree::{EulerTour, HeavyLight, RootedTree};
@@ -156,6 +156,16 @@ pub fn delta_fingerprint(g: &Graph, deltas: &[GraphDelta]) -> Result<u64, DeltaE
     let mut fp = FingerprintAcc::of(g);
     plan.update_fingerprint(g, &mut fp);
     Ok(fp.value())
+}
+
+/// Checks a delta batch against `g` without applying it: `Ok` exactly
+/// when [`mutate`] and [`DynamicInstance::apply`] on `g` accept it.
+///
+/// # Errors
+///
+/// Rejects the same malformed batches [`mutate`] does.
+pub fn validate_deltas(g: &Graph, deltas: &[GraphDelta]) -> Result<(), DeltaError> {
+    DeltaPlan::validate(g, deltas).map(drop)
 }
 
 /// A validated delta batch, normalized to per-edge outcomes.
@@ -274,7 +284,7 @@ impl SolvedState {
     fn build(g: &Graph, ws: &mut ShortcutWorkspace) -> Option<SolvedState> {
         let mut sorted: Vec<EdgeId> = g.edge_ids().collect();
         sorted.sort_by_key(|&id| (g.weight(id), id));
-        let tree_ids = kruskal_scan(g, &sorted)?;
+        let tree_ids = algo::kruskal_scan(g, &sorted).ok()?;
         Some(SolvedState::from_tree(g, sorted, tree_ids, ws))
     }
 
@@ -325,29 +335,6 @@ fn endpoint_pairs(g: &Graph, ids: &[EdgeId]) -> Vec<(VertexId, VertexId)> {
             (e.u, e.v)
         })
         .collect()
-}
-
-/// The Kruskal union-find scan over an already-sorted order —
-/// byte-identical to `decss_graphs::algo::minimum_spanning_tree` when
-/// `sorted` is the `(weight, id)` order. Returns the tree's ids sorted
-/// by id, or `None` if `g` is disconnected.
-fn kruskal_scan(g: &Graph, sorted: &[EdgeId]) -> Option<Vec<EdgeId>> {
-    let mut uf = UnionFind::new(g.n());
-    let mut tree = Vec::with_capacity(g.n().saturating_sub(1));
-    for &id in sorted {
-        let e = g.edge(id);
-        if uf.union(e.u.index(), e.v.index()) {
-            tree.push(id);
-            if tree.len() + 1 == g.n() {
-                break;
-            }
-        }
-    }
-    if tree.len() + 1 != g.n() {
-        return None;
-    }
-    tree.sort_unstable();
-    Some(tree)
 }
 
 /// Merges the retained Kruskal order with a small set of changed edges.
@@ -511,17 +498,17 @@ impl DynamicInstance {
             .copied()
             .filter(|id| plan.new_weight[id.index()].is_none());
         let sorted = merge_sorted(&self.graph, survivors, &changed);
-        match kruskal_scan(&self.graph, &sorted) {
-            Some(tree_ids) if tree_ids == state.tree_ids => {
+        match algo::kruskal_scan(&self.graph, &sorted) {
+            Ok(tree_ids) if tree_ids == state.tree_ids => {
                 // Same tree: reuse the whole decomposition, zero parts
                 // dirty (no radius ever reads a weight).
                 self.state = Some(SolvedState { sorted, ..state });
             }
-            Some(tree_ids) => {
+            Ok(tree_ids) => {
                 stats.fell_back = true;
                 self.state = Some(SolvedState::from_tree(&self.graph, sorted, tree_ids, ws));
             }
-            None => {
+            Err(_) => {
                 // Unreachable for pure reweights (connectivity is
                 // weight-blind), but keep the disconnected contract.
                 stats.fell_back = true;
@@ -589,7 +576,7 @@ fn update_structural(
         .filter(|id| !plan.deleted[id.index()] && plan.new_weight[id.index()].is_none())
         .map(|&id| EdgeId(id_map[id.index()]));
     let sorted = merge_sorted(g2, survivors, &changed);
-    let tree_ids = kruskal_scan(g2, &sorted)?;
+    let tree_ids = algo::kruskal_scan(g2, &sorted).ok()?;
     let tree_pairs = endpoint_pairs(g2, &tree_ids);
     if tree_pairs != state.tree_pairs {
         return None; // the MST changed shape: unlocalizable

@@ -24,10 +24,13 @@
 //!   behind Theorems 5.1/5.2,
 //! * [`tools`] — descendants' sum, ancestors' sum, and the heavy-light
 //!   decomposition tools (Theorems 5.1–5.3),
-//! * [`probes`] — the two subroutines of Section 5.3: covered-edge
-//!   detection via XOR fingerprints (Lemma 5.4) and marked-cover
-//!   counting via `M_v + M_u − 2 M_w` (Lemma 5.5),
-//! * [`setcover`] — the parallel greedy set-cover driver (Section 5.1),
+//! * [`probes`] — covered-edge detection via XOR fingerprints
+//!   (Lemma 5.4), set cover's upfront feasibility check, and
+//!   the candidates' heavy-light LCAs,
+//! * [`setcover`] — the parallel greedy set cover of Section 5.1:
+//!   Lemma 5.5's marked-cover counts, and its sampling repetitions and
+//!   bucket loads evaluated on virtual trees (the dense forms of those
+//!   probes are test references),
 //! * [`twoecss`] — the public entry point [`shortcut_two_ecss`], and
 //!   [`shortcut_two_ecss_with`], which runs the same pipeline on a
 //!   caller-held workspace,

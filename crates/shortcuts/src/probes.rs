@@ -1,4 +1,5 @@
-//! The two subroutines of Section 5.3.
+//! The Section 5.3 probe that set cover runs densely, and the
+//! candidates' LCAs.
 //!
 //! * [`covered_mask_into`] (Lemma 5.4): given a candidate set `S` of non-tree
 //!   edges, decide for every tree edge whether `S` covers it. Every
@@ -6,19 +7,15 @@
 //!   fingerprints of its incident `S`-edges; a descendants' XOR then
 //!   cancels edges with both endpoints inside the subtree, so the edge
 //!   above `u` is covered iff the subtree XOR is non-zero (w.h.p.).
-//! * [`marked_cover_counts_into`] (Lemma 5.5): for every non-tree edge
-//!   `e = {u, v}`, the number of *marked* tree edges it covers, via
-//!   `M_u + M_v − 2·M_w` where `M_x` counts marked edges on the root
-//!   path of `x` (an ancestors' sum) and `w = LCA(u, v)` comes from the
-//!   heavy-light labels.
-//! * [`path_load_into`]: the transpose — for every tree edge, how many
-//!   edges of a set cover it (two descendants' sums: incident-count
-//!   minus twice the LCA-count).
+//!   [`parallel_greedy_tap`](crate::setcover::parallel_greedy_tap) runs
+//!   it once, as its upfront feasibility check.
+//! * [`candidate_lcas`]: the heavy-light LCA of each candidate's
+//!   endpoints, computed once per set-cover run.
 //!
-//! Each probe takes a [`ShortcutWorkspace`] plus a caller-held output
-//! buffer (and, where an LCA per candidate is needed, a precomputed LCA
-//! slice from [`candidate_lcas`]): the set-cover driver calls them every
-//! sampling repetition, so none allocates.
+//! Lemma 5.5's marked-cover counts live in [`crate::setcover`]
+//! (`counts_over_active`), whose sampling repetitions and bucket loads
+//! run sparsely on virtual trees. The dense forms of those two probes
+//! are test references in `tests/naive/mod.rs`.
 
 use crate::tools::ScTools;
 use crate::workspace::ShortcutWorkspace;
@@ -56,70 +53,6 @@ pub fn covered_mask_into(
     out.extend((0..n).map(|vi| {
         let v = VertexId(vi as u32);
         tools.tree.parent(v).is_some() && val_b[vi] != 0
-    }));
-}
-
-/// Lemma 5.5: for each entry of `candidates`, the number of tree edges
-/// with `marked` set that it covers. `lcas` holds each candidate's
-/// [`candidate_lcas`] entry (they depend only on the tree, so the
-/// set-cover driver computes them once instead of every phase).
-pub fn marked_cover_counts_into(
-    tools: &ScTools<'_>,
-    candidates: &[EdgeId],
-    lcas: &[VertexId],
-    marked: &[bool],
-    ledger: &mut RoundLedger,
-    ws: &mut ShortcutWorkspace,
-    out: &mut Vec<u32>,
-) {
-    let n = tools.tree.n();
-    assert_eq!(marked.len(), n);
-    assert_eq!(lcas.len(), candidates.len());
-    let ShortcutWorkspace { val_a, val_b, .. } = ws;
-    val_a.clear();
-    val_a.extend((0..n).map(|vi| u64::from(marked[vi])));
-    tools.ancestors_sum_into(val_a, Agg::Sum, ledger, val_b);
-    out.clear();
-    out.extend(candidates.iter().zip(lcas).map(|(&id, &w)| {
-        let e = tools.graph.edge(id);
-        (val_b[e.u.index()] + val_b[e.v.index()] - 2 * val_b[w.index()]) as u32
-    }));
-}
-
-/// For each tree edge (child vertex), how many edges of `set` cover it:
-/// `Σ_{x ∈ subtree} inc(x) − 2 · Σ_{x ∈ subtree} lca_count(x)`.
-/// `lcas` holds each edge's [`candidate_lcas`] entry.
-pub fn path_load_into(
-    tools: &ScTools<'_>,
-    set: &[EdgeId],
-    lcas: &[VertexId],
-    ledger: &mut RoundLedger,
-    ws: &mut ShortcutWorkspace,
-    out: &mut Vec<u32>,
-) {
-    let n = tools.tree.n();
-    assert_eq!(lcas.len(), set.len());
-    let ShortcutWorkspace { val_a, val_b, val_c, val_d, .. } = ws;
-    val_a.clear();
-    val_a.resize(n, 0);
-    val_b.clear();
-    val_b.resize(n, 0);
-    for (&id, &w) in set.iter().zip(lcas) {
-        let e = tools.graph.edge(id);
-        val_a[e.u.index()] += 1;
-        val_a[e.v.index()] += 1;
-        val_b[w.index()] += 1;
-    }
-    tools.descendants_sum_into(val_a, Agg::Sum, ledger, val_c);
-    tools.descendants_sum_into(val_b, Agg::Sum, ledger, val_d);
-    out.clear();
-    out.extend((0..n).map(|vi| {
-        let v = VertexId(vi as u32);
-        if tools.tree.parent(v).is_none() {
-            0
-        } else {
-            (val_c[vi] - 2 * val_d[vi]) as u32
-        }
     }));
 }
 
@@ -201,59 +134,5 @@ mod tests {
         let mut b = vec![true; 2]; // junk: must be overwritten
         covered_mask_into(&tools, &set, &mut rng_b, &mut ledger, &mut ws, &mut b);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn marked_cover_counts_match_ground_truth() {
-        let g = gen::sparse_two_ec(35, 25, 20, 7);
-        let tree = RootedTree::mst(&g);
-        let lca = LcaOracle::new(&tree);
-        let tools = ScTools::new(&g, &tree);
-        let candidates = non_tree_edges(&g, &tree);
-        let marked: Vec<bool> = (0..g.n()).map(|i| i % 3 != 0).collect();
-        let lcas = candidate_lcas(&tools, &candidates);
-        let mut ledger = RoundLedger::new();
-        let mut ws = ShortcutWorkspace::new(&g);
-        let mut counts = Vec::new();
-        marked_cover_counts_into(
-            &tools,
-            &candidates,
-            &lcas,
-            &marked,
-            &mut ledger,
-            &mut ws,
-            &mut counts,
-        );
-        for (i, &id) in candidates.iter().enumerate() {
-            let expected = tree
-                .tree_edge_children()
-                .filter(|&v| marked[v.index()] && naive_covered(&g, &tree, &lca, &[id], v))
-                .count() as u32;
-            assert_eq!(counts[i], expected, "candidate {id}");
-        }
-    }
-
-    #[test]
-    fn path_load_matches_ground_truth() {
-        let g = gen::sparse_two_ec(30, 25, 20, 9);
-        let tree = RootedTree::mst(&g);
-        let lca = LcaOracle::new(&tree);
-        let tools = ScTools::new(&g, &tree);
-        let candidates = non_tree_edges(&g, &tree);
-        let set: Vec<EdgeId> = candidates.iter().copied().take(10).collect();
-        let lcas = candidate_lcas(&tools, &set);
-        let mut ledger = RoundLedger::new();
-        let mut ws = ShortcutWorkspace::new(&g);
-        let mut loads = Vec::new();
-        path_load_into(&tools, &set, &lcas, &mut ledger, &mut ws, &mut loads);
-        for v in tree.tree_edge_children() {
-            let expected = set
-                .iter()
-                .filter(|&&id| naive_covered(&g, &tree, &lca, &[id], v))
-                .count() as u32;
-            assert_eq!(loads[v.index()], expected, "edge above {v}");
-        }
-        // Two descendants' sums were charged.
-        assert_eq!(ledger.invocations_of("sc.descendants-sum"), 2);
     }
 }

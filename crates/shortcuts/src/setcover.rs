@@ -15,30 +15,33 @@
 //! `Õ(SC(G) + D)`.
 //!
 //! The driver is allocation-flat: candidate LCAs are computed once, and
-//! every per-phase buffer (cover counts, bucket, sample, probe outputs)
-//! is hoisted and reused through the [`ShortcutWorkspace`].
+//! every per-phase buffer (cover counts, bucket, sample) is hoisted and
+//! reused across phases.
 //!
 //! # The sparse cover engine
 //!
-//! The hot loop used to be the per-repetition cover probe: a sampled
-//! set of `O(1)`–`O(100)` candidate edges paid a full `O(n)`
-//! fingerprint pass plus an `O(n)` marked sweep, some 1–2 thousand
-//! times per solve. The driver now evaluates each repetition *sparsely*
-//! on the virtual tree spanned by the sample's endpoints: the XOR of
-//! the endpoint fingerprints is constant along each virtual-tree
-//! segment, so the covered set is a union of whole segments; the number
-//! of *newly* covered (marked) tree edges per segment comes from a
-//! Fenwick tree over Euler-tour positions (marked vertices contribute
-//! their subtree interval), and accepted samples clear their marked
-//! vertices through path-compressed nearest-marked-ancestor pointers
-//! instead of an `O(n)` sweep. The logical rounds charged, the RNG draw
-//! order, and every produced bit are identical to the dense reference
-//! (`greedy_tap_reference` in `tests/naive/mod.rs`, pinned by the
-//! `flat_equivalence` suite); only the local computation got cheaper —
-//! cover counts are additionally cached while the marked set is
-//! unchanged, and the bucket's maximum load `d` is evaluated on the same
-//! virtual-tree skeleton instead of a dense probe plus `O(n)` scan, with
-//! the same rounds charged either way.
+//! The dense form of a repetition is an `O(n)` fingerprint pass plus an
+//! `O(n)` marked sweep, for a sample of `O(1)`–`O(100)` candidate edges,
+//! some 1–2 thousand times per solve. `parallel_greedy_tap` evaluates every
+//! repetition, whatever the sample's size, on the virtual tree spanned
+//! by the sample's endpoints: the XOR of the endpoint fingerprints is
+//! constant along each virtual-tree segment, so the covered set is a
+//! union of whole segments; the number of *newly* covered (marked) tree
+//! edges per segment comes from a Fenwick tree over Euler-tour positions
+//! (marked vertices contribute their subtree interval), and accepted
+//! samples clear their marked vertices through path-compressed
+//! nearest-marked-ancestor pointers instead of an `O(n)` sweep. Every
+//! bucket's maximum load `d` is evaluated the same way, on the virtual
+//! tree of the bucket's endpoints and path LCAs. One routine emits the
+//! virtual tree's segments, and each evaluation folds its own per-vertex
+//! value up them: the XOR of fingerprints for a repetition, the signed
+//! endpoint/LCA count for `d`. Cover counts are cached while the marked
+//! set is unchanged.
+//!
+//! The logical rounds charged, the RNG draw order, and every produced
+//! bit are identical to the dense reference (`greedy_tap_reference` in
+//! `tests/naive/mod.rs`, pinned by the `flat_equivalence` suite): only
+//! the local computation is cheaper.
 
 use crate::probes;
 use crate::tools::ScTools;
@@ -50,20 +53,21 @@ use decss_tree::{EulerTour, RootedTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Sampling repetitions per sub-phase (the `O(log n)` of Section 5.1).
+pub const REPS_PER_SUBPHASE: u32 = 24;
+
 /// Configuration of the set-cover driver.
 #[derive(Clone, Copy, Debug)]
 pub struct SetCoverConfig {
     /// The `ε` of the phase/sub-phase bucketing.
     pub epsilon: f64,
-    /// Sampling repetitions per sub-phase (`O(log n)`).
-    pub reps: u32,
     /// RNG seed (the algorithm is randomized; Theorem 1.2).
     pub seed: u64,
 }
 
 impl Default for SetCoverConfig {
     fn default() -> Self {
-        SetCoverConfig { epsilon: 0.25, reps: 24, seed: 0xC0FFEE }
+        SetCoverConfig { epsilon: 0.25, seed: 0xC0FFEE }
     }
 }
 
@@ -103,7 +107,7 @@ fn fen_query(fen: &[i32], i: usize) -> i32 {
     s
 }
 
-/// The sparse per-repetition cover evaluator.
+/// The sparse cover evaluator of sampling repetitions and bucket loads.
 ///
 /// Holds the Euler tour of the driver's tree, a Fenwick tree whose
 /// point query at `pre(v)` is the number of *marked* vertices on the
@@ -116,22 +120,18 @@ struct SparseCover {
     /// `up[v]`: a marked-or-root vertex at or above `v` (lazily
     /// compressed; `up[v] == v` means "not yet resolved").
     up: Vec<u32>,
-    /// Per-vertex XOR of incident sample fingerprints (sparsely reset).
+    /// Per-vertex XOR of incident sample fingerprints, folded into
+    /// subtree XORs over the virtual tree (sparsely reset).
     acc: Vec<u64>,
     /// Per-vertex load contribution (`+1` per bucket endpoint, `−2` per
-    /// bucket-path LCA; sparsely reset).
+    /// bucket-path LCA), folded into subtree sums (sparsely reset).
     accw: Vec<i64>,
-    /// Vertices touched in `acc`/`accw` this call (duplicates kept).
-    endpoints: Vec<u32>,
-    /// Virtual-tree nodes, sorted by Euler preorder.
+    /// Vertices whose `acc`/`accw` this call seeds (duplicates kept),
+    /// then the virtual-tree nodes, sorted by Euler preorder.
     nodes: Vec<VertexId>,
-    /// Subtree-XOR accumulator per virtual-tree node.
-    sval: Vec<u64>,
-    /// Subtree-sum accumulator per virtual-tree node (load variant).
-    wsval: Vec<i64>,
     stack: Vec<VertexId>,
-    /// Virtual-tree edges `(parent, child, subtree XOR of child)`.
-    vt: Vec<(VertexId, VertexId, u64)>,
+    /// Virtual-tree segments `(parent, child)`, in post-order.
+    vt: Vec<(VertexId, VertexId)>,
     /// Compression scratch for `find_marked`.
     chain: Vec<u32>,
 }
@@ -168,10 +168,7 @@ impl SparseCover {
             up: (0..n as u32).collect(),
             acc: vec![0; n],
             accw: vec![0; n],
-            endpoints: Vec::new(),
             nodes: Vec::new(),
-            sval: vec![0; n],
-            wsval: vec![0; n],
             stack: Vec::new(),
             vt: Vec::new(),
             chain: Vec::new(),
@@ -214,6 +211,45 @@ impl SparseCover {
         v
     }
 
+    /// Builds the virtual tree of the seeded `nodes` plus the root into
+    /// `vt`: its `(parent, child)` segments in post-order, so every
+    /// segment below a node comes before the segment above it, and a
+    /// caller can fold per-vertex values bottom-up in place with one
+    /// pass.
+    fn virtual_tree(&mut self, tools: &ScTools<'_>) {
+        let tree = tools.tree;
+        let root = tree.root();
+        self.nodes.push(root);
+        let euler = &self.euler;
+        self.nodes.sort_unstable_by_key(|&v| euler.pre(v));
+        self.nodes.dedup();
+        self.stack.clear();
+        self.vt.clear();
+        self.stack.push(root);
+        for k in 1..self.nodes.len() {
+            let u = self.nodes[k];
+            let l = tools.lca(*self.stack.last().expect("stack holds the root"), u);
+            while self.stack.len() >= 2
+                && tree.depth(self.stack[self.stack.len() - 2]) >= tree.depth(l)
+            {
+                let c = self.stack.pop().expect("len checked");
+                self.vt.push((*self.stack.last().expect("len checked"), c));
+            }
+            if tree.depth(*self.stack.last().expect("stack nonempty")) > tree.depth(l) {
+                // `l` is a fresh branching vertex between the stack's
+                // top two entries: splice it in.
+                let c = self.stack.pop().expect("nonempty");
+                self.vt.push((l, c));
+                self.stack.push(l);
+            }
+            self.stack.push(u);
+        }
+        while self.stack.len() >= 2 {
+            let c = self.stack.pop().expect("len checked");
+            self.vt.push((*self.stack.last().expect("len checked"), c));
+        }
+    }
+
     /// One sampling repetition, evaluated on the virtual tree of the
     /// sample's endpoints. Returns `(accepted, marked_changed)`.
     ///
@@ -228,7 +264,7 @@ impl SparseCover {
     fn repetition(
         &mut self,
         tools: &ScTools<'_>,
-        sample_edges: &[EdgeId],
+        candidates: &[EdgeId],
         sample: &[u32],
         weights: &[f64],
         delta: f64,
@@ -238,66 +274,28 @@ impl SparseCover {
         marked_count: &mut usize,
     ) -> (bool, bool) {
         let tree = tools.tree;
-        self.endpoints.clear();
-        for &id in sample_edges {
+        self.nodes.clear();
+        for &i in sample {
             let fp: u64 = rng.gen::<u64>() | 1; // non-zero fingerprint
-            let e = tools.graph.edge(id);
+            let e = tools.graph.edge(candidates[i as usize]);
             self.acc[e.u.index()] ^= fp;
             self.acc[e.v.index()] ^= fp;
-            self.endpoints.push(e.u.0);
-            self.endpoints.push(e.v.0);
+            self.nodes.push(e.u);
+            self.nodes.push(e.v);
         }
         // Same logical rounds as the dense probe: one descendants' XOR
         // pass, then the acceptance broadcast.
         ledger.charge("sc.descendants-sum", tools.pass_cost());
         ledger.charge("sc.broadcast", 2 * tools.bfs_depth as u64);
 
-        // Virtual tree over the endpoints plus the root, by preorder.
-        self.nodes.clear();
-        self.nodes.push(tree.root());
-        self.nodes.extend(self.endpoints.iter().map(|&vi| VertexId(vi)));
-        let euler = &self.euler;
-        self.nodes.sort_unstable_by_key(|&v| euler.pre(v));
-        self.nodes.dedup();
-        self.stack.clear();
-        self.vt.clear();
-        let root = tree.root();
-        self.sval[root.index()] = self.acc[root.index()];
-        self.stack.push(root);
-        for k in 1..self.nodes.len() {
-            let u = self.nodes[k];
-            let l = tools.lca(*self.stack.last().expect("stack holds the root"), u);
-            while self.stack.len() >= 2
-                && tree.depth(self.stack[self.stack.len() - 2]) >= tree.depth(l)
-            {
-                let c = self.stack.pop().expect("len checked");
-                let p = *self.stack.last().expect("len checked");
-                self.vt.push((p, c, self.sval[c.index()]));
-                self.sval[p.index()] ^= self.sval[c.index()];
-            }
-            let top = *self.stack.last().expect("stack nonempty");
-            if tree.depth(top) > tree.depth(l) {
-                // `l` is a fresh branching vertex between the stack's
-                // top two entries: splice it in.
-                let c = self.stack.pop().expect("nonempty");
-                self.sval[l.index()] = self.acc[l.index()];
-                self.vt.push((l, c, self.sval[c.index()]));
-                self.sval[l.index()] ^= self.sval[c.index()];
-                self.stack.push(l);
-            }
-            self.sval[u.index()] = self.acc[u.index()];
-            self.stack.push(u);
-        }
-        while self.stack.len() >= 2 {
-            let c = self.stack.pop().expect("len checked");
-            let p = *self.stack.last().expect("len checked");
-            self.vt.push((p, c, self.sval[c.index()]));
-            self.sval[p.index()] ^= self.sval[c.index()];
-        }
-
-        // newly = marked vertices on segments with non-zero subtree XOR.
+        // Fold the subtree XOR up the segments: afterwards `acc[c]` is
+        // the XOR over the subtree of `c`. newly = marked vertices on
+        // segments with non-zero subtree XOR.
+        self.virtual_tree(tools);
         let mut newly = 0i32;
-        for &(p, c, s) in &self.vt {
+        for &(p, c) in &self.vt {
+            let s = self.acc[c.index()];
+            self.acc[p.index()] ^= s;
             if s != 0 {
                 newly += self.marked_on_root_path(c) - self.marked_on_root_path(p);
             }
@@ -307,8 +305,8 @@ impl SparseCover {
         let accepted = (newly as f64) >= delta / 100.0 * sample_weight;
         if accepted && newly > 0 {
             for idx in 0..self.vt.len() {
-                let (p, c, s) = self.vt[idx];
-                if s == 0 {
+                let (p, c) = self.vt[idx];
+                if self.acc[c.index()] == 0 {
                     continue;
                 }
                 let stop = tree.depth(p);
@@ -322,8 +320,9 @@ impl SparseCover {
                 }
             }
         }
-        for &vi in &self.endpoints {
-            self.acc[vi as usize] = 0;
+        self.acc[tree.root().index()] = 0;
+        for &(_, c) in &self.vt {
+            self.acc[c.index()] = 0;
         }
         (accepted, accepted && newly > 0)
     }
@@ -347,81 +346,43 @@ impl SparseCover {
         bucket: &[u32],
         ledger: &mut RoundLedger,
     ) -> u32 {
-        let tree = tools.tree;
-        self.endpoints.clear();
+        self.nodes.clear();
         for &i in bucket {
             let e = tools.graph.edge(candidates[i as usize]);
             let l = cand_lca[i as usize];
             self.accw[e.u.index()] += 1;
             self.accw[e.v.index()] += 1;
             self.accw[l.index()] -= 2;
-            self.endpoints.push(e.u.0);
-            self.endpoints.push(e.v.0);
-            self.endpoints.push(l.0);
+            self.nodes.push(e.u);
+            self.nodes.push(e.v);
+            self.nodes.push(l);
         }
         ledger.charge("sc.descendants-sum", tools.pass_cost());
         ledger.charge("sc.descendants-sum", tools.pass_cost());
 
-        self.nodes.clear();
-        self.nodes.push(tree.root());
-        self.nodes.extend(self.endpoints.iter().map(|&vi| VertexId(vi)));
-        let euler = &self.euler;
-        self.nodes.sort_unstable_by_key(|&v| euler.pre(v));
-        self.nodes.dedup();
-        self.stack.clear();
-        let root = tree.root();
-        self.wsval[root.index()] = self.accw[root.index()];
-        self.stack.push(root);
+        // Fold the subtree sum up the segments, as `repetition` does.
+        self.virtual_tree(tools);
         let mut d = 0i64;
-        for k in 1..self.nodes.len() {
-            let u = self.nodes[k];
-            let l = tools.lca(*self.stack.last().expect("stack holds the root"), u);
-            while self.stack.len() >= 2
-                && tree.depth(self.stack[self.stack.len() - 2]) >= tree.depth(l)
-            {
-                let c = self.stack.pop().expect("len checked");
-                let p = *self.stack.last().expect("len checked");
-                let s = self.wsval[c.index()];
-                if s > d && self.marked_on_root_path(c) > self.marked_on_root_path(p) {
-                    d = s;
-                }
-                self.wsval[p.index()] += s;
-            }
-            let top = *self.stack.last().expect("stack nonempty");
-            if tree.depth(top) > tree.depth(l) {
-                let c = self.stack.pop().expect("nonempty");
-                self.wsval[l.index()] = self.accw[l.index()];
-                let s = self.wsval[c.index()];
-                if s > d && self.marked_on_root_path(c) > self.marked_on_root_path(l) {
-                    d = s;
-                }
-                self.wsval[l.index()] += s;
-                self.stack.push(l);
-            }
-            self.wsval[u.index()] = self.accw[u.index()];
-            self.stack.push(u);
-        }
-        while self.stack.len() >= 2 {
-            let c = self.stack.pop().expect("len checked");
-            let p = *self.stack.last().expect("len checked");
-            let s = self.wsval[c.index()];
+        for &(p, c) in &self.vt {
+            let s = self.accw[c.index()];
+            self.accw[p.index()] += s;
             if s > d && self.marked_on_root_path(c) > self.marked_on_root_path(p) {
                 d = s;
             }
-            self.wsval[p.index()] += s;
         }
-        for &vi in &self.endpoints {
-            self.accw[vi as usize] = 0;
+        self.accw[tools.tree.root().index()] = 0;
+        for &(_, c) in &self.vt {
+            self.accw[c.index()] = 0;
         }
         d as u32
     }
 }
 
-/// Cover counts (and cost-effectiveness ratios) for the `active`
-/// candidates under the current `marked` set: the ancestors' sum of
-/// [`probes::marked_cover_counts_into`] plus the same per-candidate
-/// `M_u + M_v − 2·M_lca` map, restricted to the candidates that can
-/// still enter a bucket.
+/// Lemma 5.5's cover counts (and cost-effectiveness ratios) for the
+/// `active` candidates under the current `marked` set: one ancestors'
+/// sum gives `M_x`, the marked tree edges on the root path of `x`, and
+/// a candidate `{u, v}` covers `M_u + M_v − 2·M_lca` of them. Only the
+/// candidates that can still enter a bucket are evaluated.
 #[allow(clippy::too_many_arguments)]
 fn counts_over_active(
     tools: &ScTools<'_>,
@@ -451,8 +412,8 @@ fn counts_over_active(
 }
 
 /// Runs the parallel greedy cover: returns `None` if some tree edge is
-/// uncoverable (graph not 2-edge-connected). `ws` provides the flat
-/// scratch every probe pass runs on.
+/// uncoverable (graph not 2-edge-connected). `ws` provides the value
+/// buffers of the feasibility probe and the cover-count passes.
 ///
 /// The chosen edges, weight, repetition and fallback counts are
 /// bit-identical to the dense reference driver (`greedy_tap_reference`
@@ -484,22 +445,16 @@ pub fn parallel_greedy_tap(
     let mut repetitions = 0u32;
 
     // Reused across phases and repetitions (allocation-free inner loop).
-    let mut covered: Vec<bool> = Vec::new();
     let mut counts: Vec<u32> = vec![0; candidates.len()];
     let mut ce: Vec<f64> = vec![0.0; candidates.len()];
-    let mut loads: Vec<u32> = Vec::new();
     let mut bucket: Vec<u32> = Vec::new();
-    let mut bucket_edges: Vec<EdgeId> = Vec::new();
-    let mut bucket_lcas: Vec<VertexId> = Vec::new();
     let mut sample: Vec<u32> = Vec::new();
-    let mut sample_edges: Vec<EdgeId> = Vec::new();
 
     // Feasibility check: every tree edge covered by some candidate.
-    {
-        probes::covered_mask_into(tools, &candidates, &mut rng, ledger, ws, &mut covered);
-        if (0..n).any(|vi| marked[vi] && !covered[vi]) {
-            return None;
-        }
+    let mut covered: Vec<bool> = Vec::new();
+    probes::covered_mask_into(tools, &candidates, &mut rng, ledger, ws, &mut covered);
+    if (0..n).any(|vi| marked[vi] && !covered[vi]) {
+        return None;
     }
 
     let mut cover = SparseCover::new(tree, &marked);
@@ -555,79 +510,30 @@ pub fn parallel_greedy_tap(
                 break;
             }
             // d: maximum multiplicity of bucket edges over marked tree
-            // edges. Small buckets go through the sparse virtual-tree
-            // evaluator; huge ones fall back to the dense load probe
-            // plus marked scan. Same rounds charged, same d either way.
-            let d = if bucket.len() * 8 <= n {
-                cover.bucket_d(tools, &candidates, &cand_lca, &bucket, ledger).max(1)
-            } else {
-                bucket_edges.clear();
-                bucket_lcas.clear();
-                for &i in &bucket {
-                    bucket_edges.push(candidates[i as usize]);
-                    bucket_lcas.push(cand_lca[i as usize]);
-                }
-                probes::path_load_into(tools, &bucket_edges, &bucket_lcas, ledger, ws, &mut loads);
-                (0..n)
-                    .filter(|&vi| marked[vi])
-                    .map(|vi| loads[vi])
-                    .max()
-                    .unwrap_or(0)
-                    .max(1)
-            };
+            // edges.
+            let d = cover.bucket_d(tools, &candidates, &cand_lca, &bucket, ledger).max(1);
 
             let p = 1.0 / (2.0 * d as f64);
             let mut progressed = false;
-            for _ in 0..config.reps {
+            for _ in 0..REPS_PER_SUBPHASE {
                 repetitions += 1;
                 sample.clear();
                 sample.extend(bucket.iter().copied().filter(|_| rng.gen_bool(p)));
                 if sample.is_empty() {
                     continue;
                 }
-                sample_edges.clear();
-                sample_edges.extend(sample.iter().map(|&i| candidates[i as usize]));
                 // Goodness test: Δ/100 new covers per unit weight.
-                // Small samples go through the sparse virtual-tree
-                // evaluator; huge ones fall back to the dense probe.
-                // Identical RNG draws, rounds, and outcome either way.
-                let (accepted, marked_changed) = if sample_edges.len() * 8 <= n {
-                    cover.repetition(
-                        tools,
-                        &sample_edges,
-                        &sample,
-                        &weights,
-                        delta,
-                        &mut rng,
-                        ledger,
-                        &mut marked,
-                        &mut marked_count,
-                    )
-                } else {
-                    probes::covered_mask_into(
-                        tools,
-                        &sample_edges,
-                        &mut rng,
-                        ledger,
-                        ws,
-                        &mut covered,
-                    );
-                    ledger.charge("sc.broadcast", 2 * tools.bfs_depth as u64);
-                    let newly: u32 = (0..n).filter(|&vi| marked[vi] && covered[vi]).count() as u32;
-                    let sample_weight: f64 = sample.iter().map(|&i| weights[i as usize]).sum();
-                    if (newly as f64) >= delta / 100.0 * sample_weight {
-                        for vi in 0..n {
-                            if covered[vi] && marked[vi] {
-                                marked[vi] = false;
-                                marked_count -= 1;
-                                cover.on_clear(VertexId(vi as u32));
-                            }
-                        }
-                        (true, newly > 0)
-                    } else {
-                        (false, false)
-                    }
-                };
+                let (accepted, marked_changed) = cover.repetition(
+                    tools,
+                    &candidates,
+                    &sample,
+                    &weights,
+                    delta,
+                    &mut rng,
+                    ledger,
+                    &mut marked,
+                    &mut marked_count,
+                );
                 if accepted {
                     for &i in &sample {
                         chosen_mask[i as usize] = true;

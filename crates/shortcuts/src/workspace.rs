@@ -37,14 +37,10 @@ pub struct ShortcutWorkspace {
     pub(crate) lstamp: Vec<u32>,
     /// The current part's `H_i` edge list.
     pub(crate) hi_buf: Vec<EdgeId>,
-    /// Per-vertex `u64` value buffers for the probe passes.
+    /// Per-vertex `u64` input buffer of the set-cover aggregate passes.
     pub(crate) val_a: Vec<u64>,
-    /// Second value buffer (aggregate outputs).
+    /// Their output buffer.
     pub(crate) val_b: Vec<u64>,
-    /// Third value buffer (`path_load_into` endpoint counts).
-    pub(crate) val_c: Vec<u64>,
-    /// Fourth value buffer (`path_load_into` LCA counts).
-    pub(crate) val_d: Vec<u64>,
 }
 
 impl ShortcutWorkspace {

@@ -177,6 +177,65 @@ fn pipeline_completes_at_4096() {
     }
 }
 
+/// The dense Lemma 5.5 probes that `greedy_tap_reference` runs, against
+/// brute-force cover checks.
+mod dense_probes {
+    use super::*;
+    use decss_graphs::{EdgeId, VertexId};
+    use decss_shortcuts::probes::candidate_lcas;
+    use decss_tree::LcaOracle;
+
+    fn non_tree_edges(g: &Graph, tree: &RootedTree) -> Vec<EdgeId> {
+        g.edge_ids().filter(|&e| !tree.is_tree_edge(e)).collect()
+    }
+
+    /// Ground truth: does `id` cover the tree edge above `v`?
+    fn covers(g: &Graph, lca: &LcaOracle, id: EdgeId, v: VertexId) -> bool {
+        let e = g.edge(id);
+        let w = lca.lca(e.u, e.v);
+        (lca.is_ancestor(v, e.u) || lca.is_ancestor(v, e.v)) && lca.is_proper_ancestor(w, v)
+    }
+
+    #[test]
+    fn marked_cover_counts_match_ground_truth() {
+        let g = gen::sparse_two_ec(35, 25, 20, 7);
+        let tree = RootedTree::mst(&g);
+        let lca = LcaOracle::new(&tree);
+        let tools = ScTools::new(&g, &tree);
+        let candidates = non_tree_edges(&g, &tree);
+        let marked: Vec<bool> = (0..g.n()).map(|i| i % 3 != 0).collect();
+        let lcas = candidate_lcas(&tools, &candidates);
+        let mut ledger = RoundLedger::new();
+        let counts = naive::marked_cover_counts(&tools, &candidates, &lcas, &marked, &mut ledger);
+        for (i, &id) in candidates.iter().enumerate() {
+            let expected = tree
+                .tree_edge_children()
+                .filter(|&v| marked[v.index()] && covers(&g, &lca, id, v))
+                .count() as u32;
+            assert_eq!(counts[i], expected, "candidate {id}");
+        }
+    }
+
+    #[test]
+    fn path_load_matches_ground_truth() {
+        let g = gen::sparse_two_ec(30, 25, 20, 9);
+        let tree = RootedTree::mst(&g);
+        let lca = LcaOracle::new(&tree);
+        let tools = ScTools::new(&g, &tree);
+        let candidates = non_tree_edges(&g, &tree);
+        let set: Vec<EdgeId> = candidates.iter().copied().take(10).collect();
+        let lcas = candidate_lcas(&tools, &set);
+        let mut ledger = RoundLedger::new();
+        let loads = naive::path_load(&tools, &set, &lcas, &mut ledger);
+        for v in tree.tree_edge_children() {
+            let expected = set.iter().filter(|&&id| covers(&g, &lca, id, v)).count() as u32;
+            assert_eq!(loads[v.index()], expected, "edge above {v}");
+        }
+        // Two descendants' sums were charged.
+        assert_eq!(ledger.invocations_of("sc.descendants-sum"), 2);
+    }
+}
+
 /// The sparse engine against the preserved dense driver: same
 /// chosen edges, same counters, same ledger — across families,
 /// sizes large enough to exercise the virtual-tree path, and seeds.
@@ -221,6 +280,11 @@ mod driver_equivalence {
         assert_matches_reference(&gen::outerplanar_disk(300, 1.0, 24, 13), 7);
         assert_matches_reference(&gen::gnp_two_ec(200, 0.04, 24, 14), 9);
         assert_matches_reference(&gen::ladder(150, 24, 15), 11);
+        // Unit weights on a clique: a bucket and samples of more than
+        // n/8 edges.
+        assert_matches_reference(&gen::complete(40, 1, 2), 13);
+        // Buckets of more than n/8 candidates.
+        assert_matches_reference(&gen::near_clique_two_ec(200, 0.85, 24, 3), 17);
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! Nothing here is called on the production path.
 
 use decss_congest::ledger::RoundLedger;
+use decss_congest::protocols::convergecast::Agg;
 use decss_graphs::algo::BfsTree;
 use decss_graphs::{EdgeId, Graph, VertexId};
 use decss_shortcuts::partition::Partition;
 use decss_shortcuts::probes;
-use decss_shortcuts::setcover::{SetCoverConfig, SetCoverResult};
+use decss_shortcuts::setcover::{SetCoverConfig, SetCoverResult, REPS_PER_SUBPHASE};
 use decss_shortcuts::shortcut::{ShortcutQuality, ShortcutScheme};
 use decss_shortcuts::tools::ScTools;
 use decss_shortcuts::workspace::ShortcutWorkspace;
@@ -218,6 +219,64 @@ pub fn level_quality(
         .collect()
 }
 
+/// Lemma 5.5, dense: for each entry of `candidates`, the number of tree
+/// edges with `marked` set that it covers, via `M_u + M_v − 2·M_w`
+/// where `M_x` counts marked edges on the root path of `x` (an
+/// ancestors' sum) and `lcas` holds each candidate's
+/// [`probes::candidate_lcas`] entry `w`.
+pub fn marked_cover_counts(
+    tools: &ScTools<'_>,
+    candidates: &[EdgeId],
+    lcas: &[VertexId],
+    marked: &[bool],
+    ledger: &mut RoundLedger,
+) -> Vec<u32> {
+    assert_eq!(marked.len(), tools.tree.n());
+    assert_eq!(lcas.len(), candidates.len());
+    let marks: Vec<u64> = marked.iter().map(|&m| u64::from(m)).collect();
+    let mut sums = Vec::new();
+    tools.ancestors_sum_into(&marks, Agg::Sum, ledger, &mut sums);
+    candidates
+        .iter()
+        .zip(lcas)
+        .map(|(&id, &w)| {
+            let e = tools.graph.edge(id);
+            (sums[e.u.index()] + sums[e.v.index()] - 2 * sums[w.index()]) as u32
+        })
+        .collect()
+}
+
+/// The transpose of [`marked_cover_counts`]: for each tree edge (child
+/// vertex), how many edges of `set` cover it, by two descendants' sums:
+/// `Σ_{x ∈ subtree} inc(x) − 2 · Σ_{x ∈ subtree} lca_count(x)`.
+/// `lcas` holds each edge's [`probes::candidate_lcas`] entry.
+pub fn path_load(
+    tools: &ScTools<'_>,
+    set: &[EdgeId],
+    lcas: &[VertexId],
+    ledger: &mut RoundLedger,
+) -> Vec<u32> {
+    let n = tools.tree.n();
+    assert_eq!(lcas.len(), set.len());
+    let mut inc = vec![0u64; n];
+    let mut at_lca = vec![0u64; n];
+    for (&id, &w) in set.iter().zip(lcas) {
+        let e = tools.graph.edge(id);
+        inc[e.u.index()] += 1;
+        inc[e.v.index()] += 1;
+        at_lca[w.index()] += 1;
+    }
+    let (mut inc_sum, mut lca_sum) = (Vec::new(), Vec::new());
+    tools.descendants_sum_into(&inc, Agg::Sum, ledger, &mut inc_sum);
+    tools.descendants_sum_into(&at_lca, Agg::Sum, ledger, &mut lca_sum);
+    (0..n)
+        .map(|vi| match tools.tree.parent(VertexId(vi as u32)) {
+            None => 0,
+            Some(_) => (inc_sum[vi] - 2 * lca_sum[vi]) as u32,
+        })
+        .collect()
+}
+
 /// The pre-rewrite set-cover driver, preserved verbatim: the dense
 /// per-repetition cover probe plus full-array marked bookkeeping that
 /// [`decss_shortcuts::setcover::parallel_greedy_tap`]'s sparse
@@ -248,8 +307,6 @@ pub fn greedy_tap_reference(
     let mut repetitions = 0u32;
 
     let mut covered: Vec<bool> = Vec::new();
-    let mut counts: Vec<u32> = Vec::new();
-    let mut loads: Vec<u32> = Vec::new();
     let mut bucket: Vec<u32> = Vec::new();
     let mut bucket_edges: Vec<EdgeId> = Vec::new();
     let mut bucket_lcas: Vec<VertexId> = Vec::new();
@@ -275,15 +332,7 @@ pub fn greedy_tap_reference(
             if !marked.iter().any(|&m| m) {
                 break;
             }
-            probes::marked_cover_counts_into(
-                tools,
-                &candidates,
-                &cand_lca,
-                &marked,
-                ledger,
-                ws,
-                &mut counts,
-            );
+            let counts = marked_cover_counts(tools, &candidates, &cand_lca, &marked, ledger);
             ledger.charge("sc.broadcast", 2 * tools.bfs_depth as u64);
             bucket.clear();
             bucket.extend((0..candidates.len() as u32).filter(|&i| {
@@ -301,7 +350,7 @@ pub fn greedy_tap_reference(
                 bucket_edges.push(candidates[i as usize]);
                 bucket_lcas.push(cand_lca[i as usize]);
             }
-            probes::path_load_into(tools, &bucket_edges, &bucket_lcas, ledger, ws, &mut loads);
+            let loads = path_load(tools, &bucket_edges, &bucket_lcas, ledger);
             let d = (0..tree.n())
                 .filter(|&vi| marked[vi])
                 .map(|vi| loads[vi])
@@ -311,7 +360,7 @@ pub fn greedy_tap_reference(
 
             let p = 1.0 / (2.0 * d as f64);
             let mut progressed = false;
-            for _ in 0..config.reps {
+            for _ in 0..REPS_PER_SUBPHASE {
                 repetitions += 1;
                 sample.clear();
                 sample.extend(bucket.iter().copied().filter(|_| rng.gen_bool(p)));

@@ -10,7 +10,7 @@ use crate::request::SolveRequest;
 use crate::solvers::{shortcut_config, shortcut_report};
 use decss_graphs::fingerprint::graph_fingerprint;
 use decss_graphs::{algo, EdgeId, Graph};
-use decss_shortcuts::dynamic::{mutate, DeltaError, DynamicInstance, GraphDelta};
+use decss_shortcuts::dynamic::{mutate, validate_deltas, DeltaError, DynamicInstance, GraphDelta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -183,6 +183,9 @@ impl SolverSession {
     ) -> Result<SolveReport, SolveError> {
         self.cx.arm(req);
         self.cx.checkpoint()?;
+        // A malformed batch is rejected before its base is built,
+        // cloned or retained.
+        validate_deltas(g, &req.deltas).map_err(delta_error)?;
         let config = shortcut_config(req);
         // Timed from here so a cold solve honestly includes the one-off
         // decomposition build, like a fresh pipeline run would.
@@ -568,5 +571,6 @@ mod tests {
             Err(SolveError::BadRequest(msg)) => assert!(msg.contains("out of range"), "{msg}"),
             other => panic!("expected BadRequest, got {other:?}"),
         }
+        assert!(session.dynamic.is_empty());
     }
 }
