@@ -1,7 +1,7 @@
 //! Public entry points: [`approximate_tap`] and [`approximate_two_ecss`].
 
 use crate::config::{TapConfig, TapError, TwoEcssConfig};
-use crate::forward::forward_phase;
+use crate::forward::{forward_phase, max_dual_violation, TIGHT_TOL};
 use crate::mis::MisContext;
 use crate::reverse::reverse_delete;
 use crate::rounds;
@@ -9,7 +9,7 @@ use crate::unweighted::unweighted_tap;
 use crate::virtual_graph::VirtualGraph;
 use decss_congest::ledger::RoundLedger;
 use decss_graphs::{algo, EdgeId, Graph, Weight};
-use decss_tree::{EulerTour, Layering, LcaOracle, RootedTree, SegmentDecomposition};
+use decss_tree::{Layering, LcaOracle, RootedTree, SegmentDecomposition};
 
 /// Structural and behavioural statistics of a TAP run, consumed by the
 /// experiment harness.
@@ -112,22 +112,39 @@ impl TwoEcssResult {
 /// * [`TapError::BadEpsilon`] if `config.epsilon` is not positive/finite.
 /// * [`TapError::NotTwoEdgeConnected`] if `g` is not 2-edge-connected
 ///   (some tree edge cannot be covered).
+/// * [`TapError::InvariantBroken`] if the run broke an invariant its
+///   guarantee rests on: Lemma 4.18's cover bound on the dual-positive
+///   tree edges, or dual feasibility up to `1 + ε′`.
 pub fn approximate_tap(
     g: &Graph,
     tree: &RootedTree,
     config: &TapConfig,
 ) -> Result<TapResult, TapError> {
-    if !(config.epsilon.is_finite() && config.epsilon > 0.0) {
-        return Err(TapError::BadEpsilon);
-    }
+    check_epsilon(config)?;
     if !algo::is_two_edge_connected(g) {
         return Err(TapError::NotTwoEdgeConnected);
     }
+    tap_on_two_edge_connected(g, tree, config)
+}
 
+fn check_epsilon(config: &TapConfig) -> Result<(), TapError> {
+    if config.epsilon.is_finite() && config.epsilon > 0.0 {
+        Ok(())
+    } else {
+        Err(TapError::BadEpsilon)
+    }
+}
+
+/// [`approximate_tap`] on a graph its caller has checked to be
+/// 2-edge-connected, with a checked `config.epsilon`.
+fn tap_on_two_edge_connected(
+    g: &Graph,
+    tree: &RootedTree,
+    config: &TapConfig,
+) -> Result<TapResult, TapError> {
     let lca = LcaOracle::new(tree);
     let layering = Layering::new(tree);
-    let euler = EulerTour::new(tree);
-    let segments = SegmentDecomposition::new(tree, &euler);
+    let segments = SegmentDecomposition::new(tree, lca.euler());
     let params = rounds::measure(g, tree.root(), &segments);
     let mut ledger = RoundLedger::new();
     rounds::charge_setup(&mut ledger, &params, layering.num_layers());
@@ -156,6 +173,7 @@ pub fn approximate_tap(
 
     let counts = engine.covering_count(&rev.in_b);
     let max_r_cover = crate::verify::max_r_cover(&counts, &fwd.r_edge);
+    check_guarantee(config, max_r_cover, max_dual_violation(&engine, &weights, &fwd.y))?;
 
     let chosen: Vec<usize> = (0..vg.len()).filter(|&i| rev.in_b[i]).collect();
     let augmentation = vg.to_graph_edges(chosen);
@@ -198,8 +216,7 @@ pub fn approximate_tap_unweighted(g: &Graph, tree: &RootedTree) -> Result<TapRes
     }
     let lca = LcaOracle::new(tree);
     let layering = Layering::new(tree);
-    let euler = EulerTour::new(tree);
-    let segments = SegmentDecomposition::new(tree, &euler);
+    let segments = SegmentDecomposition::new(tree, lca.euler());
     let params = rounds::measure(g, tree.root(), &segments);
     let mut ledger = RoundLedger::new();
     rounds::charge_setup(&mut ledger, &params, layering.num_layers());
@@ -244,13 +261,15 @@ pub fn approximate_tap_unweighted(g: &Graph, tree: &RootedTree) -> Result<TapRes
 ///
 /// # Errors
 ///
-/// Same as [`approximate_tap`].
+/// Same as [`approximate_tap`], except that a graph that is not
+/// 2-edge-connected is reported before a bad `epsilon`.
 pub fn approximate_two_ecss(g: &Graph, config: &TwoEcssConfig) -> Result<TwoEcssResult, TapError> {
     if !algo::is_two_edge_connected(g) {
         return Err(TapError::NotTwoEdgeConnected);
     }
+    check_epsilon(&config.tap)?;
     let tree = RootedTree::mst(g);
-    let tap = approximate_tap(g, &tree, &config.tap)?;
+    let tap = tap_on_two_edge_connected(g, &tree, &config.tap)?;
     let mst_edges: Vec<EdgeId> = g.edge_ids().filter(|&e| tree.is_tree_edge(e)).collect();
     let mst_weight = g.weight_of(mst_edges.iter().copied());
     let mut edges = mst_edges.clone();
@@ -272,6 +291,31 @@ pub fn approximate_two_ecss(g: &Graph, config: &TwoEcssConfig) -> Result<TwoEcss
         stats: tap.stats,
         trace: tap.trace,
     })
+}
+
+/// Fails a run that broke an invariant its `(2c + ε)` TAP guarantee
+/// rests on, so that no report claims a guarantee the run did not earn:
+///
+/// * every dual-positive tree edge is covered at most `c` times by the
+///   output, `c` = [`TapConfig::cover_bound`] (Lemma 4.18);
+/// * every dual constraint holds up to `1 + ε′`, with the float slack
+///   that [`crate::forward::ForwardResult::dual_lower_bound_gprime`]
+///   divides by.
+fn check_guarantee(
+    config: &TapConfig,
+    max_r_cover: u32,
+    max_dual_violation: f64,
+) -> Result<(), TapError> {
+    if max_r_cover > config.cover_bound() {
+        return Err(TapError::InvariantBroken(
+            "a dual-positive tree edge is covered more often than the variant's bound",
+        ));
+    }
+    let feasible = (1.0 + config.epsilon_prime()) * (1.0 + 10.0 * TIGHT_TOL);
+    if max_dual_violation.is_nan() || max_dual_violation > feasible {
+        return Err(TapError::InvariantBroken("a dual constraint exceeds 1 + eps'"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -309,6 +353,31 @@ mod tests {
         let tree = RootedTree::mst(&g2);
         let bad = TapConfig { epsilon: 0.0, ..TapConfig::default() };
         assert_eq!(approximate_tap(&g2, &tree, &bad).unwrap_err(), TapError::BadEpsilon);
+    }
+
+    #[test]
+    fn guarantee_check_fails_just_past_each_bound() {
+        for variant in [Variant::Improved, Variant::Basic] {
+            let config = TapConfig { epsilon: 0.25, variant };
+            let c = config.cover_bound();
+            let feasible = (1.0 + config.epsilon_prime()) * (1.0 + 10.0 * TIGHT_TOL);
+            assert_eq!(check_guarantee(&config, c, feasible), Ok(()), "{variant:?}");
+            assert_eq!(check_guarantee(&config, 0, 0.5), Ok(()), "{variant:?}");
+            for (cover, violation) in [
+                (c + 1, 1.0),
+                (0, feasible.next_up()),
+                (0, f64::INFINITY),
+                (0, f64::NAN),
+            ] {
+                assert!(
+                    matches!(
+                        check_guarantee(&config, cover, violation),
+                        Err(TapError::InvariantBroken(_))
+                    ),
+                    "{variant:?}: cover {cover}, violation {violation}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -76,6 +76,11 @@ pub enum TapError {
     NotTwoEdgeConnected,
     /// `epsilon` was not a positive finite number.
     BadEpsilon,
+    /// The run broke an invariant its approximation guarantee rests on
+    /// (the message names it). This is a bug, not an input error: the
+    /// result is withheld rather than reported with a guarantee it did
+    /// not earn.
+    InvariantBroken(&'static str),
 }
 
 impl fmt::Display for TapError {
@@ -85,6 +90,9 @@ impl fmt::Display for TapError {
                 write!(f, "input graph is not 2-edge-connected")
             }
             TapError::BadEpsilon => write!(f, "epsilon must be a positive finite number"),
+            TapError::InvariantBroken(what) => {
+                write!(f, "approximation invariant broken: {what}")
+            }
         }
     }
 }
@@ -120,5 +128,6 @@ mod tests {
     fn errors_display() {
         assert!(!format!("{}", TapError::NotTwoEdgeConnected).is_empty());
         assert!(!format!("{}", TapError::BadEpsilon).is_empty());
+        assert!(!format!("{}", TapError::InvariantBroken("x")).is_empty());
     }
 }

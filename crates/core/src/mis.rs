@@ -166,11 +166,15 @@ impl MisContext<'_> {
         covered_now: &dyn Fn(VertexId) -> bool,
     ) -> Vec<Anchor> {
         let mut anchors = Vec::new();
-        for seg in self.segments.segments() {
-            // The segment's layer-`i` edges grouped by path, bottom-up:
-            // `seg.edges` is in BFS order; sort by decreasing depth to
-            // scan upward, path by path.
-            let mut by_path: Vec<(decss_tree::layering::PathId, Vec<VertexId>)> = Vec::new();
+        // `slot[p]` = (segment, group) of layer path `p` in the segment
+        // last seen on it; the segment index keeps a slot from leaking
+        // into the next segment.
+        let mut slot = vec![(usize::MAX, 0usize); self.layering.paths().len()];
+        for (si, seg) in self.segments.segments().iter().enumerate() {
+            // The segment's layer-`i` edges grouped by path in order of
+            // first appearance, bottom-up: `seg.edges` is in BFS order;
+            // sort by decreasing depth to scan upward, path by path.
+            let mut by_path: Vec<Vec<VertexId>> = Vec::new();
             let mut sorted: Vec<VertexId> = seg
                 .edges
                 .iter()
@@ -179,13 +183,14 @@ impl MisContext<'_> {
                 .collect();
             sorted.sort_by_key(|&v| std::cmp::Reverse(self.lca.depth(v)));
             for v in sorted {
-                let pid = self.layering.path_of(v);
-                match by_path.iter_mut().find(|g| g.0 == pid) {
-                    Some(g) => g.1.push(v),
-                    None => by_path.push((pid, vec![v])),
+                let s = &mut slot[self.layering.path_of(v).0 as usize];
+                if s.0 != si {
+                    *s = (si, by_path.len());
+                    by_path.push(Vec::new());
                 }
+                by_path[s.1].push(v);
             }
-            for (_, edges) in by_path {
+            for edges in by_path {
                 // Coverage reached by anchors added in this scan: the
                 // shallowest higher-petal ancestor so far; it covers the
                 // edge above v' iff its depth < depth(v').

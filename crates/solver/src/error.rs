@@ -86,6 +86,7 @@ impl From<TapError> for SolveError {
         match e {
             TapError::NotTwoEdgeConnected => SolveError::NotTwoEdgeConnected,
             TapError::BadEpsilon => SolveError::BadEpsilon,
+            TapError::InvariantBroken(_) => SolveError::Internal(e.to_string()),
         }
     }
 }
@@ -103,6 +104,10 @@ mod tests {
     #[test]
     fn displays_and_converts() {
         assert_eq!(SolveError::from(TapError::BadEpsilon), SolveError::BadEpsilon);
+        assert!(matches!(
+            SolveError::from(TapError::InvariantBroken("x")),
+            SolveError::Internal(msg) if msg.contains("invariant broken: x")
+        ));
         assert_eq!(SolveError::from(NotTwoEdgeConnected), SolveError::NotTwoEdgeConnected);
         for e in [
             SolveError::UnknownAlgorithm { name: "x".into(), known: "a, b".into() },

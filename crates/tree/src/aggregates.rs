@@ -7,14 +7,30 @@
 //! in `O(D + √n)` rounds per invocation:
 //!
 //! * for every arc simultaneously, an aggregate of values held by the
-//!   tree edges it covers (Claim 4.5) — here: path sums and path minima
-//!   via prefix sums / binary lifting,
+//!   tree edges it covers (Claim 4.5): path sums and counts, and path
+//!   minima;
 //! * for every tree edge simultaneously, an aggregate of values held by
-//!   the arcs covering it (Claim 4.6) — here: a depth sweep with a
-//!   Fenwick tree / min segment tree over Euler positions. An arc
-//!   `(anc, desc)` covers the edge above `v` iff `desc ∈ subtree(v)` and
-//!   `depth(anc) < depth(v)`, which the sweep turns into a 1-D range
-//!   query.
+//!   the arcs covering it (Claim 4.6): counts and argmins.
+//!
+//! Each has an exact near-linear central form:
+//!
+//! * **Path sums and counts** (`covered_sum`, `covered_count`): prefix
+//!   sums from the root, differenced at the arc's endpoints.
+//! * **Covering counts** (`covering_count`): `+1` at `desc` and `−1` at
+//!   `anc` for every active arc, summed bottom-up. An arc whose `anc`
+//!   lies in a subtree has its `desc` there too and cancels, so the
+//!   integer subtree sum at `v` is the count for the edge above `v`:
+//!   `O(n + m)`.
+//! * **Covering argmins** (`covering_argmin`): the active arcs in
+//!   `(key, index)` order each paint the still-unpainted edges of their
+//!   path, skipping painted ones through a union-find of "next unpainted
+//!   ancestor-or-self" pointers. The first arc to paint an edge is its
+//!   lexicographic minimum: one sort, then near-linear.
+//! * **Path minima** (`covered_min`): offline, by path compression
+//!   (Tarjan, "Applications of path compression on balanced trees",
+//!   J. ACM 26(4), 1979). Vertices are linked to their parents deepest
+//!   first, each link carrying the minimum key of the path it spans; an
+//!   arc is answered by a find from `desc` just before `anc` is linked.
 //!
 //! The engines are *logically exact* reimplementations: the algorithms
 //! compute their answers centrally and charge each invocation the rounds
@@ -22,16 +38,11 @@
 //! `decss_congest::ledger::CostParams::aggregate` (`decss-congest` sits
 //! above this crate, so no intra-doc link).
 //!
-//! Layout: the binary-lifting table is one strided `Vec<u32>` (`levels`
-//! rows of `n`), and the Fenwick / segment-tree / lifting scratch the
-//! sweeps run on is allocated once per engine and reset by `fill` at
-//! each invocation start (the sweeps are dense, so a memset beats both
-//! per-read generation checks and write-recording touched lists — both
-//! were measured). The forward/reverse phases of the first algorithm
-//! invoke these engines thousands of times per run; reuse removes the
-//! per-invocation allocator round-trips. The pre-rewrite engine is
-//! preserved in the test tree (`tests/cover_equivalence.rs`), which pins
-//! this one bit-identical to it.
+//! The forward/reverse phases of the first algorithm invoke an engine
+//! many times per run, so the union-find and prefix buffers are
+//! allocated once per engine and reset at each invocation. The
+//! log-factor sweep engine these forms replace is kept in the test tree
+//! (`tests/cover_equivalence.rs`), which pins this one to it.
 
 use crate::lca::LcaOracle;
 use crate::rooted::RootedTree;
@@ -47,22 +58,19 @@ pub struct CoverArc {
     pub desc: VertexId,
 }
 
-/// Empty segment-tree slot.
-const SEG_EMPTY: (u64, u32) = (u64::MAX, u32::MAX);
-
-/// Reusable sweep scratch, allocated once per engine and reset by a
-/// straight `fill` at each invocation start. (Both per-read generation
-/// checks and write-recording touched lists were measured slower here:
-/// the sweeps are dense — nearly every slot is dirtied — so a memset is
-/// the cheapest reset and the win over the naive engine is purely the
-/// avoided allocator round-trips.) The strided path-min lifting buffer
-/// is fully overwritten per use.
+/// Per-invocation buffers, allocated once per engine; each method resets
+/// the ones it uses.
 #[derive(Clone, Debug, Default)]
 struct EngineScratch {
-    fen: Vec<f64>,
-    seg: Vec<(u64, u32)>,
-    seg_size: usize,
-    lift: Vec<u64>,
+    /// Union-find pointers: the painter's "next unpainted
+    /// ancestor-or-self" in `covering_argmin`, the forest links in
+    /// `covered_min`.
+    link: Vec<u32>,
+    /// `covered_min`: the minimum key on the tree path from a vertex up
+    /// to (excluding) its link.
+    link_min: Vec<u64>,
+    /// `covering_argmin`: the active `(key, arc index)` pairs.
+    order: Vec<(u64, u32)>,
     pref_f: Vec<f64>,
     pref_u: Vec<u32>,
 }
@@ -71,22 +79,21 @@ struct EngineScratch {
 #[derive(Clone, Debug)]
 pub struct CoverEngine {
     arcs: Vec<CoverArc>,
-    /// Tree edges (child endpoints) sorted by depth, ascending.
-    edges_by_depth: Vec<VertexId>,
-    /// Arc indices sorted by `depth(anc)`, ascending.
-    arcs_by_anc_depth: Vec<u32>,
-    /// Binary-lifting ancestor table, strided: `up[k * n + v]` is the
-    /// `2^k`-th ancestor of `v`.
-    up: Vec<u32>,
-    /// Number of lifting levels (the stride count of `up`).
-    levels: usize,
+    /// All vertices sorted by depth, ascending: the root, then the tree
+    /// edges (child endpoints).
+    by_depth: Vec<VertexId>,
+    /// Arc indices bucketed by `anc`: those of `v` are
+    /// `by_anc[anc_start[v]..anc_start[v + 1]]`.
+    by_anc: Vec<u32>,
+    anc_start: Vec<u32>,
+    /// Parent of each vertex; the root maps to itself.
+    parent: Vec<u32>,
     depth: Vec<u32>,
     pre: Vec<u32>,
     post: Vec<u32>,
     n: usize,
-    /// Per-invocation sweep scratch (interior mutability: the sweep
-    /// methods take `&self` and the scratch is logically stateless
-    /// between calls).
+    /// Per-invocation scratch (interior mutability: the methods take
+    /// `&self` and the scratch is logically stateless between calls).
     scratch: RefCell<EngineScratch>,
 }
 
@@ -108,52 +115,48 @@ impl CoverEngine {
         let depth: Vec<u32> = (0..n).map(|v| tree.depth(VertexId(v as u32))).collect();
         let pre: Vec<u32> = (0..n).map(|v| lca.euler().pre(VertexId(v as u32))).collect();
         let post: Vec<u32> = (0..n).map(|v| lca.euler().post(VertexId(v as u32))).collect();
-        let mut edges_by_depth: Vec<VertexId> = tree.tree_edge_children().collect();
-        edges_by_depth.sort_by_key(|v| depth[v.index()]);
-        let mut arcs_by_anc_depth: Vec<u32> = (0..arcs.len() as u32).collect();
-        arcs_by_anc_depth.sort_by_key(|&i| depth[arcs[i as usize].anc.index()]);
-        let levels = (usize::BITS - n.leading_zeros()).max(1) as usize;
-        let mut up = vec![0u32; levels * n];
+        let parent: Vec<u32> = (0..n)
+            .map(|v| tree.parent(VertexId(v as u32)).unwrap_or(tree.root()).0)
+            .collect();
+        let mut by_depth = tree.order().to_vec();
+        by_depth.sort_by_key(|v| depth[v.index()]);
+        // Counting sort of the arcs by `anc`.
+        let mut anc_start = vec![0u32; n + 1];
+        for a in &arcs {
+            anc_start[a.anc.index() + 1] += 1;
+        }
         for v in 0..n {
-            up[v] = tree.parent(VertexId(v as u32)).unwrap_or(tree.root()).0;
+            anc_start[v + 1] += anc_start[v];
         }
-        for k in 1..levels {
-            let (done, row) = up.split_at_mut(k * n);
-            let prev = &done[(k - 1) * n..];
-            for v in 0..n {
-                row[v] = prev[prev[v] as usize];
-            }
+        let mut fill = anc_start.clone();
+        let mut by_anc = vec![0u32; arcs.len()];
+        for (i, a) in arcs.iter().enumerate() {
+            let slot = &mut fill[a.anc.index()];
+            by_anc[*slot as usize] = i as u32;
+            *slot += 1;
         }
-        let fen_len = 2 * n + 3; // Fenwick over 2n+2 positions, 1-based
-        let mut seg_size = 1usize;
-        while seg_size < 2 * n + 2 {
-            seg_size <<= 1;
-        }
-        let scratch = RefCell::new(EngineScratch {
-            fen: vec![0.0; fen_len],
-            seg: vec![SEG_EMPTY; 2 * seg_size],
-            seg_size,
-            lift: Vec::new(),
-            pref_f: Vec::new(),
-            pref_u: Vec::new(),
-        });
         CoverEngine {
             arcs,
-            edges_by_depth,
-            arcs_by_anc_depth,
-            up,
-            levels,
+            by_depth,
+            by_anc,
+            anc_start,
+            parent,
             depth,
             pre,
             post,
             n,
-            scratch,
+            scratch: RefCell::default(),
         }
     }
 
     /// The engine's arcs.
     pub fn arcs(&self) -> &[CoverArc] {
         &self.arcs
+    }
+
+    /// Tree edges (child endpoints) sorted by depth, ascending.
+    fn edges_by_depth(&self) -> &[VertexId] {
+        &self.by_depth[1..]
     }
 
     /// Whether arc `i` covers the tree edge above `v`. O(1).
@@ -168,40 +171,17 @@ impl CoverEngine {
     /// For every tree edge (indexed by child vertex), the number of
     /// active arcs covering it.
     pub fn covering_count(&self, active: &[bool]) -> Vec<u32> {
-        let vals: Vec<f64> = active.iter().map(|&a| if a { 1.0 } else { 0.0 }).collect();
-        self.covering_sum(active, &vals)
-            .into_iter()
-            .map(|x| x.round() as u32)
-            .collect()
-    }
-
-    /// For every tree edge, the sum of `vals[i]` over active covering
-    /// arcs `i`.
-    pub fn covering_sum(&self, active: &[bool], vals: &[f64]) -> Vec<f64> {
         assert_eq!(active.len(), self.arcs.len());
-        assert_eq!(vals.len(), self.arcs.len());
-        let mut s = self.scratch.borrow_mut();
-        s.fen.fill(0.0);
-        let fen = &mut s.fen;
-        let mut out = vec![0.0f64; self.n];
-        let mut j = 0usize;
-        for &v in &self.edges_by_depth {
-            let d = self.depth[v.index()];
-            while j < self.arcs_by_anc_depth.len() {
-                let ai = self.arcs_by_anc_depth[j] as usize;
-                if self.depth[self.arcs[ai].anc.index()] < d {
-                    if active[ai] {
-                        fen_add(fen, self.pre[self.arcs[ai].desc.index()] as usize, vals[ai]);
-                    }
-                    j += 1;
-                } else {
-                    break;
-                }
-            }
-            out[v.index()] =
-                fen_range_sum(fen, self.pre[v.index()] as usize, self.post[v.index()] as usize);
+        let mut sum = vec![0i32; self.n];
+        for (a, _) in self.arcs.iter().zip(active).filter(|&(_, &on)| on) {
+            sum[a.desc.index()] += 1;
+            sum[a.anc.index()] -= 1;
         }
-        out
+        for &v in self.edges_by_depth().iter().rev() {
+            sum[self.parent[v.index()] as usize] += sum[v.index()];
+        }
+        // Every subtree sum is a count, so none is negative.
+        sum.into_iter().map(|c| c as u32).collect()
     }
 
     /// For every tree edge, the active covering arc minimizing
@@ -210,35 +190,34 @@ impl CoverEngine {
         assert_eq!(active.len(), self.arcs.len());
         assert_eq!(keys.len(), self.arcs.len());
         let mut s = self.scratch.borrow_mut();
-        s.seg.fill(SEG_EMPTY);
-        let EngineScratch { seg, seg_size, .. } = &mut *s;
-        let seg_size = *seg_size;
+        let EngineScratch { link: next, order, .. } = &mut *s;
+        order.clear();
+        order.extend(
+            (0..self.arcs.len())
+                .filter(|&i| active[i])
+                .map(|i| (keys[i], i as u32)),
+        );
+        // Arc indices are distinct, so the unstable sort is deterministic.
+        order.sort_unstable();
+        // `next[v] == v` while the edge above `v` is unpainted; the root
+        // holds no edge and is never painted.
+        next.clear();
+        next.extend(0..self.n as u32);
         let mut out = vec![None; self.n];
-        let mut j = 0usize;
-        for &v in &self.edges_by_depth {
-            let d = self.depth[v.index()];
-            while j < self.arcs_by_anc_depth.len() {
-                let ai = self.arcs_by_anc_depth[j] as usize;
-                if self.depth[self.arcs[ai].anc.index()] < d {
-                    if active[ai] {
-                        seg_update(
-                            seg,
-                            seg_size,
-                            self.pre[self.arcs[ai].desc.index()] as usize,
-                            (keys[ai], ai as u32),
-                        );
-                    }
-                    j += 1;
-                } else {
-                    break;
-                }
+        let mut unpainted = self.n - 1;
+        for &(key, i) in order.iter() {
+            if unpainted == 0 {
+                break;
             }
-            out[v.index()] = seg_range_min(
-                seg,
-                seg_size,
-                self.pre[v.index()] as usize,
-                self.post[v.index()] as usize,
-            );
+            let a = self.arcs[i as usize];
+            let anc_depth = self.depth[a.anc.index()];
+            let mut v = find_unpainted(next, a.desc.index());
+            while self.depth[v] > anc_depth {
+                out[v] = Some((key, i));
+                unpainted -= 1;
+                next[v] = self.parent[v];
+                v = find_unpainted(next, v);
+            }
         }
         out
     }
@@ -272,8 +251,8 @@ impl CoverEngine {
         let pref = &mut s.pref_f;
         pref.clear();
         pref.resize(self.n, 0.0);
-        for &v in &self.edges_by_depth {
-            let p = self.up[v.index()] as usize;
+        for &v in self.edges_by_depth() {
+            let p = self.parent[v.index()] as usize;
             pref[v.index()] = pref[p] + tvals[v.index()];
         }
         self.arcs
@@ -289,8 +268,8 @@ impl CoverEngine {
         let pref = &mut s.pref_u;
         pref.clear();
         pref.resize(self.n, 0);
-        for &v in &self.edges_by_depth {
-            let p = self.up[v.index()] as usize;
+        for &v in self.edges_by_depth() {
+            let p = self.parent[v.index()] as usize;
             pref[v.index()] = pref[p] + u32::from(tmask[v.index()]);
         }
         self.arcs
@@ -304,106 +283,56 @@ impl CoverEngine {
     /// arc).
     pub fn covered_min(&self, keys: &[u64]) -> Vec<u64> {
         assert_eq!(keys.len(), self.n);
-        let n = self.n;
-        let levels = self.levels;
         let mut s = self.scratch.borrow_mut();
-        // lift[k * n + v] = min key over the 2^k edges starting at the
-        // edge above v and going up. Fully overwritten each call.
-        let lift = &mut s.lift;
-        lift.clear();
-        lift.resize(levels * n, u64::MAX);
-        lift[..n].copy_from_slice(keys);
-        for k in 1..levels {
-            let (done, row) = lift.split_at_mut(k * n);
-            let prev = &done[(k - 1) * n..];
-            let up_prev = &self.up[(k - 1) * n..k * n];
-            for v in 0..n {
-                row[v] = prev[v].min(prev[up_prev[v] as usize]);
+        let EngineScratch { link, link_min, .. } = &mut *s;
+        link.clear();
+        link.extend(0..self.n as u32);
+        link_min.clear();
+        link_min.resize(self.n, u64::MAX);
+        let mut out = vec![u64::MAX; self.arcs.len()];
+        // Deepest first: when `v` comes up, its proper descendants are
+        // linked and `v` is not, so a find from `desc` climbs exactly the
+        // arc's path. The root, last, links to itself and stays a set
+        // root.
+        for &v in self.by_depth.iter().rev() {
+            let v = v.index();
+            let (lo, hi) = (self.anc_start[v] as usize, self.anc_start[v + 1] as usize);
+            for &i in &self.by_anc[lo..hi] {
+                out[i as usize] = path_min(link, link_min, self.arcs[i as usize].desc.index());
             }
+            link[v] = self.parent[v];
+            link_min[v] = keys[v];
         }
-        self.arcs
-            .iter()
-            .map(|a| {
-                let mut len = self.depth[a.desc.index()] - self.depth[a.anc.index()];
-                let mut cur = a.desc.index();
-                let mut acc = u64::MAX;
-                let mut k = 0usize;
-                while len > 0 {
-                    if len & 1 == 1 {
-                        acc = acc.min(lift[k * n + cur]);
-                        cur = self.up[k * n + cur] as usize;
-                    }
-                    len >>= 1;
-                    k += 1;
-                }
-                acc
-            })
-            .collect()
+        out
     }
 }
 
-/// Fenwick point-add.
-fn fen_add(data: &mut [f64], mut i: usize, v: f64) {
-    i += 1;
-    while i < data.len() {
-        data[i] += v;
-        i += i & i.wrapping_neg();
+/// The first vertex at or above `v` whose edge is unpainted (path
+/// halving).
+fn find_unpainted(next: &mut [u32], mut v: usize) -> usize {
+    while next[v] as usize != v {
+        let up = next[next[v] as usize];
+        next[v] = up;
+        v = up as usize;
     }
+    v
 }
 
-/// Fenwick prefix sum of `[0, i]`.
-fn fen_prefix(data: &[f64], mut i: usize) -> f64 {
-    i += 1;
-    let mut s = 0.0;
-    while i > 0 {
-        s += data[i];
-        i -= i & i.wrapping_neg();
-    }
-    s
-}
-
-fn fen_range_sum(data: &[f64], lo: usize, hi: usize) -> f64 {
-    let upper = fen_prefix(data, hi);
-    if lo == 0 {
-        upper
-    } else {
-        upper - fen_prefix(data, lo - 1)
-    }
-}
-
-/// Segment-tree point update (min).
-fn seg_update(data: &mut [(u64, u32)], size: usize, i: usize, v: (u64, u32)) {
-    let mut i = i + size;
-    if v < data[i] {
-        data[i] = v;
-        i >>= 1;
-        while i >= 1 {
-            let best = data[2 * i].min(data[2 * i + 1]);
-            if data[i] == best {
-                break;
-            }
-            data[i] = best;
-            i >>= 1;
+/// The minimum key on the path from `v` up to the root of its set. Path
+/// halving: each vertex visited is relinked to its grandparent, and its
+/// `link_min` extended over both segments.
+fn path_min(link: &mut [u32], link_min: &mut [u64], mut v: usize) -> u64 {
+    let mut acc = u64::MAX;
+    while link[v] as usize != v {
+        let p = link[v] as usize;
+        if link[p] as usize != p {
+            link_min[v] = link_min[v].min(link_min[p]);
+            link[v] = link[p];
         }
+        acc = acc.min(link_min[v]);
+        v = link[v] as usize;
     }
-}
-
-fn seg_range_min(data: &[(u64, u32)], size: usize, lo: usize, hi: usize) -> Option<(u64, u32)> {
-    let (mut lo, mut hi) = (lo + size, hi + size + 1);
-    let mut best = SEG_EMPTY;
-    while lo < hi {
-        if lo & 1 == 1 {
-            best = best.min(data[lo]);
-            lo += 1;
-        }
-        if hi & 1 == 1 {
-            hi -= 1;
-            best = best.min(data[hi]);
-        }
-        lo >>= 1;
-        hi >>= 1;
-    }
-    (best != SEG_EMPTY).then_some(best)
+    acc
 }
 
 #[cfg(test)]
@@ -459,59 +388,42 @@ mod tests {
     }
 
     #[test]
-    fn covering_sum_and_count_match_naive() {
+    fn covering_count_matches_naive() {
         let (_, t) = binary_tree(5);
         let lca = LcaOracle::new(&t);
         let arcs = random_arcs(&t, &lca, 30, 2);
         let engine = CoverEngine::new(&t, &lca, arcs.clone());
         let mut rng = StdRng::seed_from_u64(3);
-        let vals: Vec<f64> = (0..arcs.len()).map(|_| rng.gen_range(0.0..10.0)).collect();
         let active: Vec<bool> = (0..arcs.len()).map(|_| rng.gen_bool(0.7)).collect();
-        let sums = engine.covering_sum(&active, &vals);
         let counts = engine.covering_count(&active);
         for v in t.tree_edge_children() {
-            let mut expect_sum = 0.0;
-            let mut expect_count = 0;
-            for (i, &a) in arcs.iter().enumerate() {
-                if active[i] && naive_covers(&t, a, v) {
-                    expect_sum += vals[i];
-                    expect_count += 1;
-                }
-            }
-            assert!((sums[v.index()] - expect_sum).abs() < 1e-9, "sum at {v}");
-            assert_eq!(counts[v.index()], expect_count, "count at {v}");
+            let expect = (0..arcs.len())
+                .filter(|&i| active[i] && naive_covers(&t, arcs[i], v))
+                .count() as u32;
+            assert_eq!(counts[v.index()], expect, "count at {v}");
         }
     }
 
     #[test]
     fn repeated_invocations_reuse_scratch_cleanly() {
-        // The epoch-reset scratch must not leak state between calls:
-        // the same query twice gives bit-identical answers, and an
+        // The shared union-find scratch must not leak state between
+        // calls: the same query twice gives identical answers, and an
         // interleaved different query does not disturb the next one.
         let (_, t) = binary_tree(6);
         let lca = LcaOracle::new(&t);
         let arcs = random_arcs(&t, &lca, 60, 12);
         let engine = CoverEngine::new(&t, &lca, arcs.clone());
         let mut rng = StdRng::seed_from_u64(13);
-        let vals: Vec<f64> = (0..arcs.len()).map(|_| rng.gen_range(0.0..10.0)).collect();
         let keys: Vec<u64> = (0..arcs.len()).map(|_| rng.gen_range(0..1000)).collect();
         let active: Vec<bool> = (0..arcs.len()).map(|_| rng.gen_bool(0.6)).collect();
         let all = vec![true; arcs.len()];
-        let sum1 = engine.covering_sum(&active, &vals);
-        let min1 = engine.covering_argmin(&active, &keys);
-        let _ = engine.covering_sum(&all, &vals); // interleaved different query
-        let _ = engine.covering_argmin(&all, &keys);
-        let sum2 = engine.covering_sum(&active, &vals);
-        let min2 = engine.covering_argmin(&active, &keys);
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&sum1), bits(&sum2));
-        assert_eq!(min1, min2);
-        // The strided lifting buffer is also reused: same path minima
-        // on the second call.
         let vkeys: Vec<u64> = (0..t.n() as u64).map(|i| i * 17 % 101).collect();
+        let min1 = engine.covering_argmin(&active, &keys);
         let pm1 = engine.covered_min(&vkeys);
-        let pm2 = engine.covered_min(&vkeys);
-        assert_eq!(pm1, pm2);
+        let _ = engine.covering_argmin(&all, &keys); // interleaved different queries
+        let _ = engine.covered_min(&vec![7; t.n()]);
+        assert_eq!(engine.covering_argmin(&active, &keys), min1);
+        assert_eq!(engine.covered_min(&vkeys), pm1);
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Pins the flat `CoverEngine` (strided lifting table, epoch-reset
-//! Fenwick/segment-tree scratch) bit-identical to the preserved
-//! `NaiveCoverEngine` below — every method, including the f64 sweeps compared
-//! bitwise, and across repeated invocations of one engine (the reuse
-//! the rewrite exists for).
+//! Pins `CoverEngine` (integer difference counts, path-painted argmins,
+//! offline path minima by path compression) to the preserved sweep
+//! engine `NaiveCoverEngine` below: every public method, the f64 ones
+//! compared bitwise, across repeated invocations of one engine (the
+//! union-find scratch is reused), and on inputs that stress the argmin's
+//! `(key, index)` tie-break: keys drawn from 0..4, duplicated arcs, and
+//! float keys of `0.0` and `f64::MAX`.
 //!
 //! Run under `--release` in CI; the 4096-vertex test is `#[ignore]`d
 //! for the debug tier-1 run and executed with `--include-ignored`.
@@ -35,30 +37,65 @@ fn tree_and_arcs(n: usize, seed: u64) -> (RootedTree, Vec<CoverArc>) {
     (tree, arcs)
 }
 
+/// `count` random valid arcs on `tree`.
+fn random_arcs(tree: &RootedTree, count: usize, seed: u64) -> Vec<CoverArc> {
+    let lca = LcaOracle::new(tree);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = tree.n() as u32;
+    let mut arcs = Vec::new();
+    while arcs.len() < count {
+        let a = VertexId(rng.gen_range(0..n));
+        let d = VertexId(rng.gen_range(0..n));
+        if lca.is_proper_ancestor(a, d) {
+            arcs.push(CoverArc { anc: a, desc: d });
+        }
+    }
+    arcs
+}
+
+/// How [`assert_engines_agree`] draws its inputs: each arc is active
+/// with probability `active_p`, and arc keys are drawn from
+/// `0..key_max`.
+#[derive(Clone, Copy)]
+struct Draw {
+    active_p: f64,
+    key_max: u64,
+}
+
+/// Most arcs active; keys spread wide, so ties on key are rare.
+const SPREAD: Draw = Draw { active_p: 0.7, key_max: 10_000 };
+
 /// Every engine method, flat vs naive, bit-identical — invoked twice on
-/// the flat engine so the second pass runs on dirty (epoch-stale)
-/// scratch.
-fn assert_engines_agree(tree: &RootedTree, arcs: &[CoverArc], seed: u64) {
+/// the flat engine so the second pass runs on dirty scratch.
+fn assert_engines_agree(tree: &RootedTree, arcs: &[CoverArc], seed: u64, draw: Draw) {
     let lca = LcaOracle::new(tree);
     let flat = CoverEngine::new(tree, &lca, arcs.to_vec());
     let naive = NaiveCoverEngine::new(tree, &lca, arcs.to_vec());
     let mut rng = StdRng::seed_from_u64(seed);
     let m = arcs.len();
     let n = tree.n();
-    let active: Vec<bool> = (0..m).map(|_| rng.gen_bool(0.7)).collect();
-    let vals: Vec<f64> = (0..m).map(|_| rng.gen_range(0.0..10.0)).collect();
-    let keys: Vec<u64> = (0..m).map(|_| rng.gen_range(0..10_000)).collect();
+    let active: Vec<bool> = (0..m).map(|_| rng.gen_bool(draw.active_p)).collect();
+    let keys: Vec<u64> = (0..m).map(|_| rng.gen_range(0..draw.key_max)).collect();
     let tvals: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..5.0)).collect();
     let tmask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
     let tkeys: Vec<u64> = (0..n).map(|_| rng.gen_range(0..10_000)).collect();
+    // The float argmin's extremes, `0.0` and `f64::MAX`, among ordinary
+    // keys.
+    let fkeys: Vec<f64> = (0..m)
+        .map(|_| match rng.gen_range(0..4) {
+            0 => 0.0,
+            1 => f64::MAX,
+            _ => rng.gen_range(0.0..10.0),
+        })
+        .collect();
 
     let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let arg_bits = |xs: Vec<Option<(f64, u32)>>| {
+        xs.into_iter()
+            .map(|o| o.map(|(k, i)| (k.to_bits(), i)))
+            .collect::<Vec<_>>()
+    };
     for round in 0..2 {
-        assert_eq!(
-            bits(&flat.covering_sum(&active, &vals)),
-            bits(&naive.covering_sum(&active, &vals)),
-            "covering_sum (round {round})"
-        );
         assert_eq!(
             flat.covering_count(&active),
             naive.covering_count(&active),
@@ -68,6 +105,11 @@ fn assert_engines_agree(tree: &RootedTree, arcs: &[CoverArc], seed: u64) {
             flat.covering_argmin(&active, &keys),
             naive.covering_argmin(&active, &keys),
             "covering_argmin (round {round})"
+        );
+        assert_eq!(
+            arg_bits(flat.covering_argmin_f64(&active, &fkeys)),
+            arg_bits(naive.covering_argmin_f64(&active, &fkeys)),
+            "covering_argmin_f64 (round {round})"
         );
         assert_eq!(
             bits(&flat.covered_sum(&tvals)),
@@ -93,7 +135,7 @@ proptest! {
     #[test]
     fn flat_engine_matches_naive(n in 4usize..96, seed in 0u64..10_000) {
         let (tree, arcs) = tree_and_arcs(n, seed);
-        assert_engines_agree(&tree, &arcs, seed ^ 0xABCD);
+        assert_engines_agree(&tree, &arcs, seed ^ 0xABCD, SPREAD);
     }
 }
 
@@ -103,17 +145,8 @@ fn flat_engine_matches_naive_on_mst_trees() {
     for (n, seed) in [(60usize, 8u64), (200, 9), (400, 10)] {
         let g = gen::gnp_two_ec(n, (4.0 / n as f64).min(0.3), 40, seed);
         let tree = RootedTree::mst(&g);
-        let lca = LcaOracle::new(&tree);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut arcs = Vec::new();
-        while arcs.len() < 2 * n {
-            let a = VertexId(rng.gen_range(0..n as u32));
-            let d = VertexId(rng.gen_range(0..n as u32));
-            if lca.is_proper_ancestor(a, d) {
-                arcs.push(CoverArc { anc: a, desc: d });
-            }
-        }
-        assert_engines_agree(&tree, &arcs, seed);
+        let arcs = random_arcs(&tree, 2 * n, seed);
+        assert_engines_agree(&tree, &arcs, seed, SPREAD);
     }
 }
 
@@ -122,14 +155,35 @@ fn flat_engine_matches_naive_on_mst_trees() {
 #[ignore = "large instance; run in release CI via --include-ignored"]
 fn flat_engine_matches_naive_at_4096() {
     let (tree, arcs) = tree_and_arcs(4096, 21);
-    assert_engines_agree(&tree, &arcs, 22);
+    assert_engines_agree(&tree, &arcs, 22, SPREAD);
+}
+
+/// Keys in 0..4 make most argmins a tie on key, decided by arc index,
+/// and half the arcs appear twice, so identical arcs tie on everything
+/// but their index.
+#[test]
+fn flat_engine_matches_naive_on_tied_keys_and_duplicated_arcs() {
+    for (n, seed) in [(12usize, 30u64), (90, 31), (600, 32)] {
+        let (tree, _) = tree_and_arcs(n, seed);
+        let mut arcs = random_arcs(&tree, 3 * n, seed);
+        arcs.extend_from_within(..arcs.len() / 2);
+        assert_engines_agree(&tree, &arcs, seed, Draw { active_p: 0.7, key_max: 4 });
+    }
+}
+
+/// No active arc: every count is zero and every argmin `None`.
+#[test]
+fn flat_engine_matches_naive_with_no_active_arc() {
+    let (tree, arcs) = tree_and_arcs(300, 33);
+    assert_engines_agree(&tree, &arcs, 33, Draw { active_p: 0.0, key_max: 4 });
 }
 
 mod naive {
-    //! The pre-rewrite cover engine — nested `Vec<Vec<_>>` lifting
-    //! tables and per-invocation Fenwick / segment-tree allocations —
-    //! preserved as the reference this suite compares against. Not used
-    //! on any production path.
+    //! The sweep cover engine — a depth sweep over Euler positions with
+    //! a Fenwick tree for counts and a min segment tree for argmins, and
+    //! nested `Vec<Vec<_>>` binary-lifting tables for path minima, all
+    //! allocated per invocation — preserved as the reference this suite
+    //! compares against. Not used on any production path.
 
     use super::CoverArc;
     use decss_graphs::VertexId;
@@ -139,7 +193,7 @@ mod naive {
     /// Empty segment-tree slot.
     const SEG_EMPTY: (u64, u32) = (u64::MAX, u32::MAX);
 
-    /// Pre-rewrite aggregation engine (allocates per invocation).
+    /// Sweep aggregation engine (allocates per invocation).
     #[derive(Clone, Debug)]
     pub struct NaiveCoverEngine {
         arcs: Vec<CoverArc>,
@@ -206,8 +260,9 @@ mod naive {
                 .collect()
         }
 
-        /// See [`super::CoverEngine::covering_sum`].
-        pub fn covering_sum(&self, active: &[bool], vals: &[f64]) -> Vec<f64> {
+        /// For every tree edge, the sum of `vals[i]` over the active
+        /// arcs `i` covering it.
+        fn covering_sum(&self, active: &[bool], vals: &[f64]) -> Vec<f64> {
             assert_eq!(active.len(), self.arcs.len());
             assert_eq!(vals.len(), self.arcs.len());
             let mut fen = Fenwick::new(2 * self.n + 2);
@@ -260,6 +315,19 @@ mod naive {
                 out[v.index()] = best;
             }
             out
+        }
+
+        /// See [`super::CoverEngine::covering_argmin_f64`].
+        pub fn covering_argmin_f64(
+            &self,
+            active: &[bool],
+            keys: &[f64],
+        ) -> Vec<Option<(f64, u32)>> {
+            let bit_keys: Vec<u64> = keys.iter().map(|k| k.to_bits()).collect();
+            self.covering_argmin(active, &bit_keys)
+                .into_iter()
+                .map(|o| o.map(|(bits, i)| (f64::from_bits(bits), i)))
+                .collect()
         }
 
         /// See [`super::CoverEngine::covered_sum`].

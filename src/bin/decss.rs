@@ -44,7 +44,10 @@
 //!
 //! Each subcommand (and each `serve` mode) checks its arguments against
 //! the flags it reads before doing any work: an unknown flag, a stray
-//! argument or a flag missing its value is a usage error.
+//! argument or a flag missing its value is a usage error. Only a usage
+//! error is followed by the usage text; a data or solver failure (an
+//! unreadable or malformed file, an invalid `--deltas` entry, a solve
+//! error) prints `error: …` alone.
 //!
 //! Exit codes: `0` — success (or partial failure under `--keep-going`);
 //! `2` — the batch completed but some jobs failed (the document still
@@ -67,7 +70,11 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,
-        Err(msg) => {
+        Err(Failure::Data(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(1)
+        }
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("usage:");
@@ -90,6 +97,27 @@ fn main() -> ExitCode {
     }
 }
 
+/// Why a subcommand failed.
+enum Failure {
+    /// A command-line mistake: no or an unknown subcommand, an unknown
+    /// flag, a flag missing its value, with a value it cannot take or
+    /// without the flag it depends on, or a missing required flag.
+    Usage(String),
+    /// Anything else: an unreadable or malformed file, an invalid
+    /// `--deltas` entry, a solver error, a failed audit.
+    Data(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Data(msg)
+    }
+}
+
+fn usage(msg: impl Into<String>) -> Failure {
+    Failure::Usage(msg.into())
+}
+
 fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == name)
@@ -97,11 +125,16 @@ fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(|s| s.as_str())
 }
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, Failure> {
     match flag(args, name) {
         None => Ok(default),
-        Some(s) => s.parse().map_err(|_| format!("bad {name} {s}")),
+        Some(s) => s.parse().map_err(|_| usage(format!("bad {name} {s}"))),
     }
+}
+
+/// The value of a flag the subcommand cannot run without.
+fn required<'a>(args: &'a [String], name: &str, missing: &str) -> Result<&'a str, Failure> {
+    flag(args, name).ok_or_else(|| usage(missing))
 }
 
 /// Rejects any argument outside the flags a subcommand reads, given as
@@ -109,28 +142,28 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> 
 /// argument as its value, each of `switches` stands alone. Subcommands
 /// call this before doing any work, so a misspelt flag fails instead of
 /// being ignored.
-fn check_flags(cmd: &str, args: &[String], valued: &str, switches: &str) -> Result<(), String> {
+fn check_flags(cmd: &str, args: &[String], valued: &str, switches: &str) -> Result<(), Failure> {
     let listed = |list: &str, arg: &str| list.split_whitespace().any(|f| f == arg);
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         if listed(valued, arg) {
             if rest.next().is_none() {
-                return Err(format!("decss {cmd}: {arg} needs a value"));
+                return Err(usage(format!("decss {cmd}: {arg} needs a value")));
             }
         } else if !listed(switches, arg) {
-            return Err(format!("decss {cmd}: unknown argument {arg}"));
+            return Err(usage(format!("decss {cmd}: unknown argument {arg}")));
         }
     }
     Ok(())
 }
 
-fn load(args: &[String]) -> Result<Graph, String> {
-    let path = flag(args, "--input").ok_or("--input FILE is required")?;
+fn load(args: &[String]) -> Result<Graph, Failure> {
+    let path = required(args, "--input", "--input FILE is required")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    io::parse_graph(&text).map_err(|e| format!("parsing {path}: {e}"))
+    io::parse_graph(&text).map_err(|e| format!("parsing {path}: {e}").into())
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
+fn run(args: &[String]) -> Result<ExitCode, Failure> {
     match args.first().map(|s| s.as_str()) {
         Some("solve") => solve(&args[1..]),
         Some("algorithms") => algorithms(&args[1..]),
@@ -141,10 +174,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         Some("serve") => serve(&args[1..]),
         Some("trace") => trace_cmd(&args[1..]),
         Some("netstress") => netstress(&args[1..]),
-        _ => Err(
-            "expected a subcommand: solve | algorithms | gen | verify | simulate | scenario | serve | trace | netstress"
-                .into(),
-        ),
+        _ => Err(usage(
+            "expected a subcommand: solve | algorithms | gen | verify | simulate | scenario | serve | trace | netstress",
+        )),
     }
 }
 
@@ -156,28 +188,30 @@ const REQUEST_FLAGS: &str = "--epsilon --bandwidth --fail-edges --deadline-ms --
 /// Builds a [`SolveRequest`] from the shared solver flags (`solve` and
 /// `scenario` speak the same vocabulary; `scenario` then overrides the
 /// seed per run).
-fn request_from_flags(args: &[String], algorithm: &str) -> Result<SolveRequest, String> {
+fn request_from_flags(args: &[String], algorithm: &str) -> Result<SolveRequest, Failure> {
     let mut req = SolveRequest::new(algorithm)
         .epsilon(parse_flag(args, "--epsilon", 0.25)?)
         .bandwidth(parse_flag(args, "--bandwidth", 1u32)?)
         .fail_edges(parse_flag(args, "--fail-edges", 0u32)?);
     if let Some(seed) = flag(args, "--seed") {
-        req = req.seed(seed.parse().map_err(|_| format!("bad --seed {seed}"))?);
+        req = req.seed(seed.parse().map_err(|_| usage(format!("bad --seed {seed}")))?);
     }
     if let Some(ms) = flag(args, "--deadline-ms") {
-        let ms: u64 = ms.parse().map_err(|_| format!("bad --deadline-ms {ms}"))?;
+        let ms: u64 = ms.parse().map_err(|_| usage(format!("bad --deadline-ms {ms}")))?;
         req = req.deadline(Duration::from_millis(ms));
     }
     req = req.trace(match flag(args, "--trace") {
         None | Some("silent") => TraceLevel::Silent,
         Some("summary") => TraceLevel::Summary,
         Some("full") => TraceLevel::Full,
-        Some(other) => return Err(format!("bad --trace {other}; options: silent, summary, full")),
+        Some(other) => {
+            return Err(usage(format!("bad --trace {other}; options: silent, summary, full")))
+        }
     });
     Ok(req)
 }
 
-fn solve(args: &[String]) -> Result<ExitCode, String> {
+fn solve(args: &[String]) -> Result<ExitCode, Failure> {
     let valued = format!("{REQUEST_FLAGS} --input --algorithm --seed --deltas");
     check_flags("solve", args, &valued, "--json")?;
     let g = load(args)?;
@@ -199,7 +233,7 @@ fn solve(args: &[String]) -> Result<ExitCode, String> {
 /// Lists the solver registry: the stable `--algorithm` vocabulary.
 /// `--names` prints bare names only (one per line; CI drives the
 /// registry-wide smoke test with it).
-fn algorithms(args: &[String]) -> Result<ExitCode, String> {
+fn algorithms(args: &[String]) -> Result<ExitCode, Failure> {
     check_flags("algorithms", args, "", "--names")?;
     let session = SolverSession::new();
     if args.iter().any(|a| a == "--names") {
@@ -217,13 +251,13 @@ fn algorithms(args: &[String]) -> Result<ExitCode, String> {
 
 /// Runs a message-level protocol on the round simulator and prints the
 /// metrics.
-fn simulate(args: &[String]) -> Result<ExitCode, String> {
+fn simulate(args: &[String]) -> Result<ExitCode, Failure> {
     check_flags("simulate", args, "--input --protocol --root --bursts", "")?;
     let g = load(args)?;
-    let protocol = flag(args, "--protocol").ok_or("--protocol NAME is required")?;
+    let protocol = required(args, "--protocol", "--protocol NAME is required")?;
     let root: u32 = parse_flag(args, "--root", 0)?;
     if root as usize >= g.n() {
-        return Err(format!("--root {root} out of range (n = {})", g.n()));
+        return Err(Failure::Data(format!("--root {root} out of range (n = {})", g.n())));
     }
     let bursts: u32 = parse_flag(args, "--bursts", 8)?;
 
@@ -254,9 +288,9 @@ fn simulate(args: &[String]) -> Result<ExitCode, String> {
             )
         }
         other => {
-            return Err(format!(
+            return Err(usage(format!(
                 "unknown --protocol {other}; options: flood, bfs, leader, mst"
-            ))
+            )))
         }
     };
     let elapsed = start.elapsed();
@@ -271,13 +305,12 @@ fn simulate(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn generate(args: &[String]) -> Result<ExitCode, String> {
+fn generate(args: &[String]) -> Result<ExitCode, Failure> {
     check_flags("gen", args, "--family --n --seed --max-weight", "")?;
-    let family = flag(args, "--family").ok_or("--family NAME is required")?;
-    let n: usize = flag(args, "--n")
-        .ok_or("--n N is required")?
+    let family = required(args, "--family", "--family NAME is required")?;
+    let n: usize = required(args, "--n", "--n N is required")?
         .parse()
-        .map_err(|_| "bad --n")?;
+        .map_err(|_| usage("bad --n"))?;
     let seed: u64 = parse_flag(args, "--seed", 0)?;
     let w: u64 = parse_flag(args, "--max-weight", 64)?;
     let g = jobs::instance_by_label(family, n, w, seed)?;
@@ -295,10 +328,14 @@ fn generate(args: &[String]) -> Result<ExitCode, String> {
 /// stay in grid order and are byte-identical to a single-session sweep
 /// except `wall_ms`). Per-run progress goes to stderr so the JSON
 /// stays clean.
-fn scenario(args: &[String]) -> Result<ExitCode, String> {
-    fn list<T: std::str::FromStr>(s: &str, what: &str) -> Result<Vec<T>, String> {
+fn scenario(args: &[String]) -> Result<ExitCode, Failure> {
+    fn list<T: std::str::FromStr>(s: &str, what: &str) -> Result<Vec<T>, Failure> {
         s.split(',')
-            .map(|x| x.trim().parse::<T>().map_err(|_| format!("bad {what} entry {x:?}")))
+            .map(|x| {
+                x.trim()
+                    .parse::<T>()
+                    .map_err(|_| usage(format!("bad {what} entry {x:?}")))
+            })
             .collect()
     }
     let valued = format!(
@@ -306,15 +343,12 @@ fn scenario(args: &[String]) -> Result<ExitCode, String> {
          --cache-cap --out"
     );
     check_flags("scenario", args, &valued, "")?;
-    let families: Vec<&str> = flag(args, "--families")
-        .ok_or("--families F[,F...] is required")?
+    let families: Vec<&str> = required(args, "--families", "--families F[,F...] is required")?
         .split(',')
         .map(str::trim)
         .collect();
-    let sizes: Vec<usize> = list(
-        flag(args, "--sizes").ok_or("--sizes N[,N...] is required")?,
-        "--sizes",
-    )?;
+    let sizes: Vec<usize> =
+        list(required(args, "--sizes", "--sizes N[,N...] is required")?, "--sizes")?;
     let seeds: Vec<u64> = list(flag(args, "--seeds").unwrap_or("0"), "--seeds")?;
     let algorithms: Vec<&str> = flag(args, "--algorithms")
         .unwrap_or("shortcut")
@@ -324,7 +358,10 @@ fn scenario(args: &[String]) -> Result<ExitCode, String> {
     let registry = decss::solver::Registry::standard();
     for a in &algorithms {
         if registry.get(a).is_none() {
-            return Err(format!("unknown algorithm {a}; registered: {}", registry.known()));
+            return Err(usage(format!(
+                "unknown algorithm {a}; registered: {}",
+                registry.known()
+            )));
         }
     }
     let w: u64 = parse_flag(args, "--max-weight", 64)?;
@@ -431,13 +468,13 @@ fn scenario(args: &[String]) -> Result<ExitCode, String> {
 /// field for failed ones. The document always covers the whole batch;
 /// exit status is 2 when some jobs failed (0 under `--keep-going`), 1
 /// only for infrastructure errors.
-fn serve(args: &[String]) -> Result<ExitCode, String> {
+fn serve(args: &[String]) -> Result<ExitCode, Failure> {
     if args.iter().any(|a| a == "--listen") {
         return serve_network(args);
     }
     let valued = "--jobs --workers --cache-cap --queue-cap --out --restore --snapshot";
     check_flags("serve", args, valued, "--keep-going")?;
-    let jobs_path = flag(args, "--jobs").ok_or("--jobs FILE.json or --listen ADDR is required")?;
+    let jobs_path = required(args, "--jobs", "--jobs FILE.json or --listen ADDR is required")?;
     let text =
         std::fs::read_to_string(jobs_path).map_err(|e| format!("reading {jobs_path}: {e}"))?;
     let specs = jobs::parse_job_specs(&text, FileAccess::Allowed)?;
@@ -525,7 +562,7 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
 /// balance. Deliberate in-trace failures (cancels, expiries, failure
 /// storms) are data rows, not process errors: the exit code is 0 unless
 /// the infrastructure itself misbehaves.
-fn trace_cmd(args: &[String]) -> Result<ExitCode, String> {
+fn trace_cmd(args: &[String]) -> Result<ExitCode, Failure> {
     match args.first().map(|s| s.as_str()) {
         Some("gen") => {
             let args = &args[1..];
@@ -536,12 +573,12 @@ fn trace_cmd(args: &[String]) -> Result<ExitCode, String> {
                 jobs: parse_flag(args, "--jobs", defaults.jobs)?,
                 arrival: match flag(args, "--arrival") {
                     None => defaults.arrival,
-                    Some(label) => Arrival::from_label(label)?,
+                    Some(label) => Arrival::from_label(label).map_err(usage)?,
                 },
                 mean_gap_ms: parse_flag(args, "--mean-gap-ms", defaults.mean_gap_ms)?,
             };
             if cfg.jobs == 0 {
-                return Err("--jobs must be at least 1".into());
+                return Err(usage("--jobs must be at least 1"));
             }
             let text = trace::generate(&cfg);
             match flag(args, "--out") {
@@ -557,7 +594,7 @@ fn trace_cmd(args: &[String]) -> Result<ExitCode, String> {
             let args = &args[1..];
             let valued = "--input --target --workers --cache-cap --queue-cap --out";
             check_flags("trace replay", args, valued, "--pace")?;
-            let input = flag(args, "--input").ok_or("--input FILE.jsonl is required")?;
+            let input = required(args, "--input", "--input FILE.jsonl is required")?;
             let text =
                 std::fs::read_to_string(input).map_err(|e| format!("reading {input}: {e}"))?;
             let defaults = ReplayConfig::default();
@@ -590,7 +627,7 @@ fn trace_cmd(args: &[String]) -> Result<ExitCode, String> {
             }
             Ok(ExitCode::SUCCESS)
         }
-        _ => Err("expected `decss trace gen` or `decss trace replay`".into()),
+        _ => Err(usage("expected `decss trace gen` or `decss trace replay`")),
     }
 }
 
@@ -600,12 +637,12 @@ fn trace_cmd(args: &[String]) -> Result<ExitCode, String> {
 /// finish, the backlog runs dry, and the final audited accounting goes
 /// to stderr. Exits 0 on a clean drain, 1 on an audit failure or a
 /// connection-slot leak.
-fn serve_network(args: &[String]) -> Result<ExitCode, String> {
+fn serve_network(args: &[String]) -> Result<ExitCode, Failure> {
     let valued = "--listen --workers --cache-cap --queue-cap --max-conns --read-timeout-ms \
                   --write-timeout-ms --quota-rps --quota-burst --grace-ms --restore --snapshot \
                   --snapshot-interval-ms";
     check_flags("serve --listen", args, valued, "")?;
-    let listen = flag(args, "--listen").ok_or("--listen ADDR is required")?;
+    let listen = required(args, "--listen", "--listen ADDR is required")?;
     let workers: usize = parse_flag(args, "--workers", 2)?;
     let cache_cap: usize = parse_flag(args, "--cache-cap", 128)?;
     let queue_cap: usize = parse_flag(args, "--queue-cap", 64)?;
@@ -618,11 +655,12 @@ fn serve_network(args: &[String]) -> Result<ExitCode, String> {
         .read_timeout(Duration::from_millis(read_ms))
         .write_timeout(Duration::from_millis(write_ms));
     if let Some(rps) = flag(args, "--quota-rps") {
-        let refill_per_sec: f64 = rps.parse().map_err(|_| format!("bad --quota-rps {rps}"))?;
+        let refill_per_sec: f64 =
+            rps.parse().map_err(|_| usage(format!("bad --quota-rps {rps}")))?;
         let burst: f64 = parse_flag(args, "--quota-burst", (refill_per_sec * 2.0).max(1.0))?;
         net = net.quota(QuotaConfig { refill_per_sec, burst });
     } else if flag(args, "--quota-burst").is_some() {
-        return Err("decss serve --listen: --quota-burst needs --quota-rps".into());
+        return Err(usage("decss serve --listen: --quota-burst needs --quota-rps"));
     }
     if let Some(path) = flag(args, "--restore") {
         net = net.restore_from(path);
@@ -632,9 +670,11 @@ fn serve_network(args: &[String]) -> Result<ExitCode, String> {
     }
     if let Some(ms) = flag(args, "--snapshot-interval-ms") {
         if flag(args, "--snapshot").is_none() {
-            return Err("decss serve --listen: --snapshot-interval-ms needs --snapshot".into());
+            return Err(usage("decss serve --listen: --snapshot-interval-ms needs --snapshot"));
         }
-        let ms: u64 = ms.parse().map_err(|_| format!("bad --snapshot-interval-ms {ms}"))?;
+        let ms: u64 = ms
+            .parse()
+            .map_err(|_| usage(format!("bad --snapshot-interval-ms {ms}")))?;
         net = net.snapshot_interval(Duration::from_millis(ms.max(1)));
     }
     let service = ServiceConfig::default()
@@ -674,10 +714,10 @@ fn serve_network(args: &[String]) -> Result<ExitCode, String> {
         .as_ref()
         .map_err(|e| format!("service log audit failed: {e}"))?;
     if summary.slot_leaks() != 0 {
-        return Err(format!(
+        return Err(Failure::Data(format!(
             "connection slot leak: accepted {} != closed {}",
             summary.net.accepted, summary.net.conns_closed
-        ));
+        )));
     }
     eprintln!("serve: audit clean ({audited} jobs accounted); bye");
     Ok(ExitCode::SUCCESS)
@@ -690,7 +730,7 @@ fn serve_network(args: &[String]) -> Result<ExitCode, String> {
 /// then the run drains and verifies report byte-identity, slot-leak
 /// freedom, and clean audit. Exits 0 on a contract-clean run, 1
 /// otherwise.
-fn netstress(args: &[String]) -> Result<ExitCode, String> {
+fn netstress(args: &[String]) -> Result<ExitCode, Failure> {
     check_flags(
         "netstress",
         args,
@@ -718,22 +758,22 @@ fn netstress(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-fn verify(args: &[String]) -> Result<ExitCode, String> {
+fn verify(args: &[String]) -> Result<ExitCode, Failure> {
     check_flags("verify", args, "--input --edges", "")?;
     let g = load(args)?;
-    let list = flag(args, "--edges").ok_or("--edges ID[,ID...] is required")?;
+    let list = required(args, "--edges", "--edges ID[,ID...] is required")?;
     let edges: Vec<EdgeId> = list
         .split(',')
         .map(|s| {
             s.trim()
                 .parse::<u32>()
                 .map(EdgeId)
-                .map_err(|_| format!("bad edge id {s}"))
+                .map_err(|_| usage(format!("bad edge id {s}")))
         })
         .collect::<Result<_, _>>()?;
     for &e in &edges {
         if e.index() >= g.m() {
-            return Err(format!("edge id {e} out of range (m = {})", g.m()));
+            return Err(Failure::Data(format!("edge id {e} out of range (m = {})", g.m())));
         }
     }
     // An ad-hoc edge set rendered through the one report schema: no
@@ -752,7 +792,9 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
     };
     print!("{}", report.render_text());
     if !report.valid {
-        return Err("the given edge set is not a spanning 2-edge-connected subgraph".into());
+        return Err(Failure::Data(
+            "the given edge set is not a spanning 2-edge-connected subgraph".into(),
+        ));
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -282,6 +282,30 @@ fn bad_usage_is_reported() {
     assert!(err.contains("reading"));
 }
 
+/// A data or solver failure prints `error: …` alone, with the same exit
+/// code as a usage error: only a command-line mistake earns the usage.
+#[test]
+fn data_errors_print_without_the_usage() {
+    let (text, _, ok) = decss(&["gen", "--family", "grid", "--n", "16", "--seed", "1"]);
+    assert!(ok);
+    let path = tempfile("grid-deltas.graph", &text);
+    let path = path.to_str().expect("utf8 path");
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["solve", "--input", path, "--deltas", "del(99999999)"],
+            "out of range",
+        ),
+        (&["solve", "--input", "/nonexistent/x.graph"], "reading"),
+    ];
+    for (args, named) in cases {
+        let (out, err, code) = decss_code(args);
+        assert_eq!(code, Some(1), "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?}: {out}");
+        assert!(err.starts_with("error: ") && err.contains(named), "{args:?}: {err}");
+        assert!(!err.contains("usage"), "{args:?}: {err}");
+    }
+}
+
 /// Like [`decss`] but returns the raw exit code — the batch exit
 /// contract distinguishes partial failure (2) from infrastructure
 /// errors (1).
