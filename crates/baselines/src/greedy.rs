@@ -20,9 +20,7 @@ pub fn greedy_tap(g: &Graph, tree: &RootedTree) -> Option<(Vec<EdgeId>, Weight)>
     while inst.first_uncovered(&covered).is_some() {
         let mut best: Option<(f64, usize, u32)> = None;
         for i in 0..inst.candidates.len() {
-            if chosen.contains(&i) {
-                continue;
-            }
+            // Chosen candidates cover nothing new, so `new == 0` skips them.
             let new = covered.missing_from(&inst.cover[i]);
             if new == 0 {
                 continue;

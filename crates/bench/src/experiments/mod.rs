@@ -1,5 +1,5 @@
-//! The experiment suite. Each module regenerates one table/figure of
-//! EXPERIMENTS.md; `run_all` executes the full suite.
+//! The experiment suite. Each module prints one table/figure of the
+//! paper's evaluation to stdout; `run_all` executes the full suite.
 
 pub mod e01_two_ecss_ratio;
 pub mod e02_tap_ratio;
@@ -22,7 +22,7 @@ pub mod e14_phase_dynamics;
 pub enum Scale {
     /// Small sizes, one seed.
     Quick,
-    /// The sizes recorded in EXPERIMENTS.md.
+    /// The full sweep sizes (the default without `--quick`).
     Full,
 }
 

@@ -8,8 +8,8 @@
 //! contract:
 //!
 //! * every completed solve's report is **byte-identical** to a fresh
-//!   single-threaded solve of the same spec (modulo `wall_ms` and the
-//!   `cache_hit` flag);
+//!   single-threaded solve of the same spec, modulo
+//!   [`NONDETERMINISTIC_FIELDS`](decss_solver::json::NONDETERMINISTIC_FIELDS);
 //! * well-formed traffic only ever sees 200/422/429/503 — never a
 //!   hang, never an unstructured failure;
 //! * no connection-slot leaks (`accepted == conns_closed` after drain);
@@ -23,6 +23,7 @@ use crate::fault::FaultPlan;
 use crate::jobs::{self, FileAccess};
 use crate::server::{NetConfig, NetServer, NetSummary};
 use decss_service::{JobId, JobOutcome, ServiceConfig};
+use decss_solver::json::strip_nondeterministic;
 use decss_solver::SolverSession;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -161,36 +162,6 @@ fn job_line(rng: &mut StdRng, heavy: bool) -> String {
     format!(
         "{{\"algorithm\": \"{algorithm}\", \"family\": \"grid\", \"n\": {n}, \"seed\": {seed}}}"
     )
-}
-
-/// Removes `"key": value` (a flat number/bool value) plus one adjacent
-/// comma from a JSON row — the canonicalization that makes service
-/// rows comparable to fresh solves (`wall_ms` varies, `cache_hit` is
-/// service-only context).
-fn strip_field(row: &str, key: &str) -> String {
-    let needle = format!("\"{key}\":");
-    let Some(start) = row.find(&needle) else {
-        return row.to_string();
-    };
-    let after = &row[start + needle.len()..];
-    let value_len = after.find([',', '}']).unwrap_or(after.len());
-    let mut end = start + needle.len() + value_len;
-    if row[end..].starts_with(',') {
-        end += 1;
-        if row[end..].starts_with(' ') {
-            end += 1;
-        }
-        format!("{}{}", &row[..start], &row[end..])
-    } else {
-        // Last field: eat the comma before it instead.
-        let head = row[..start].trim_end();
-        let start = head.strip_suffix(',').map_or(start, |h| h.len());
-        format!("{}{}", &row[..start], &row[end..])
-    }
-}
-
-fn canonical_row(row: &str) -> String {
-    strip_field(&strip_field(row.trim(), "wall_ms"), "cache_hit")
 }
 
 /// One `/solve` POST, classified into the observation counters; 200
@@ -364,7 +335,7 @@ pub fn chaos(config: StressConfig) -> ChaosReport {
     report.violations.extend(observed.violations);
 
     // Byte-identity: every 200 row must match a fresh single-threaded
-    // solve of the same spec, modulo wall_ms and cache_hit. Dedup by
+    // solve of the same spec, modulo the nondeterministic fields. Dedup by
     // spec line — duplicates re-solve identically.
     let mut fresh_rows: HashMap<String, Option<String>> = HashMap::new();
     let mut session = SolverSession::new();
@@ -377,7 +348,8 @@ pub fn chaos(config: StressConfig) -> ChaosReport {
                     match session.solve(&spec.graph, &spec.req) {
                         Ok(r) => {
                             let outcome = JobOutcome { job: JobId(0), report: r, cache_hit: false };
-                            Some(canonical_row(&jobs::job_row(0, &spec, &Ok(outcome))))
+                            let row = jobs::job_row(0, &spec, &Ok(outcome));
+                            Some(strip_nondeterministic(row.trim()))
                         }
                         Err(e) => {
                             report.violations.push(format!(
@@ -397,7 +369,7 @@ pub fn chaos(config: StressConfig) -> ChaosReport {
         let Some(Some(fresh)) = fresh_rows.get(line) else {
             continue;
         };
-        let served = canonical_row(row);
+        let served = strip_nondeterministic(row.trim());
         if &served != fresh {
             report.violations.push(format!(
                 "report corruption for {line}:\n  served: {served}\n  fresh:  {fresh}"
@@ -455,17 +427,6 @@ pub fn default_fault_plan() -> FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn strip_field_handles_middle_and_tail() {
-        let row = r#"{"a": 1, "wall_ms": 3.25, "b": true}"#;
-        assert_eq!(strip_field(row, "wall_ms"), r#"{"a": 1, "b": true}"#);
-        let tail = r#"{"a": 1, "wall_ms": 3.25}"#;
-        assert_eq!(strip_field(tail, "wall_ms"), r#"{"a": 1}"#);
-        assert_eq!(strip_field(row, "absent"), row);
-        let both = r#"{"cache_hit": false, "wall_ms": 9}"#;
-        assert_eq!(canonical_row(both), r#"{}"#);
-    }
 
     #[test]
     fn a_small_chaos_run_upholds_the_contract() {

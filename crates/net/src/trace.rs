@@ -18,10 +18,10 @@
 //! per-job rows plus a tail-latency summary, and [`replay_remote`]
 //! drives a running `decss serve --listen` front end instead.
 //! Replaying the same trace twice yields byte-identical job rows modulo
-//! `wall_ms` / `cache_hit` — the chaotic ingredients are encoded so
-//! their *outcome* is deterministic (cancels are flagged before
-//! submission, deadline pressure is `deadline_ms: 0`, deltas only
-//! reweight/insert).
+//! [`NONDETERMINISTIC_FIELDS`](decss_solver::json::NONDETERMINISTIC_FIELDS)
+//! — the chaotic ingredients are encoded so their *outcome* is
+//! deterministic (cancels are flagged before submission, deadline
+//! pressure is `deadline_ms: 0`, deltas only reweight/insert).
 
 use crate::client::Client;
 use crate::jobs::{self, FileAccess, JobSpec};
@@ -383,7 +383,7 @@ fn replay_header(trace: &Trace, paced: bool, latencies_us: &mut [u64]) -> String
 /// log), the final `"service"` stats, and one `"jobs"` row per event.
 ///
 /// Determinism contract: same trace file + same config ⇒ byte-identical
-/// job rows modulo `wall_ms` / `cache_hit`, and a balanced audit.
+/// job rows modulo `NONDETERMINISTIC_FIELDS`, and a balanced audit.
 pub fn replay(text: &str, files: FileAccess, cfg: &ReplayConfig) -> Result<ReplayOutcome, String> {
     let trace = parse(text, files)?;
     let service = SolveService::new(

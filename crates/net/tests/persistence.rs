@@ -2,12 +2,13 @@
 //! restore at start, interval snapshots, and the cold-start fallback on
 //! hostile snapshot files. The determinism contract here is the
 //! integration-level one: a restored server answers **byte-identical
-//! rows** (modulo `wall_ms`/`cache_hit`) to the ones the pre-drain
-//! server sent over the wire.
+//! rows** (modulo the `NONDETERMINISTIC_FIELDS` of `decss_solver::json`)
+//! to the ones the pre-drain server sent over the wire.
 
 use decss_net::client::Client;
 use decss_net::server::{NetConfig, NetHandle, NetServer};
 use decss_service::ServiceConfig;
+use decss_solver::json::strip_nondeterministic;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -27,37 +28,11 @@ fn start(net: NetConfig) -> NetHandle {
     NetServer::start("127.0.0.1:0", net, service).expect("server starts")
 }
 
-/// Strips `"key": value` plus one adjacent comma.
-fn strip_field(row: &str, key: &str) -> String {
-    let needle = format!("\"{key}\":");
-    let Some(start) = row.find(&needle) else {
-        return row.to_string();
-    };
-    let after = &row[start + needle.len()..];
-    let value_len = after.find([',', '}']).unwrap_or(after.len());
-    let mut end = start + needle.len() + value_len;
-    if row[end..].starts_with(',') {
-        end += 1;
-        if row[end..].starts_with(' ') {
-            end += 1;
-        }
-        format!("{}{}", &row[..start], &row[end..])
-    } else {
-        let head = row[..start].trim_end();
-        let start = head.strip_suffix(',').map_or(start, |h| h.len());
-        format!("{}{}", &row[..start], &row[end..])
-    }
-}
-
-fn canonical(row: &str) -> String {
-    strip_field(&strip_field(row.trim(), "wall_ms"), "cache_hit")
-}
-
 fn job_rows(document: &str) -> Vec<String> {
     document
         .lines()
         .filter(|l| l.contains("\"job\":"))
-        .map(canonical)
+        .map(strip_nondeterministic)
         .collect()
 }
 

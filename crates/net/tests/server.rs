@@ -8,6 +8,7 @@ use decss_net::jobs::{self, FileAccess};
 use decss_net::server::{NetConfig, NetHandle, NetServer};
 use decss_net::{FaultPlan, QuotaConfig};
 use decss_service::{JobId, JobOutcome, ServiceConfig};
+use decss_solver::json::strip_nondeterministic;
 use decss_solver::SolverSession;
 use std::net::{Ipv4Addr, SocketAddr};
 use std::sync::Arc;
@@ -22,33 +23,6 @@ fn small_service() -> ServiceConfig {
         .workers(2)
         .queue_capacity(8)
         .cache_capacity(32)
-}
-
-/// Strips `"key": value` plus one adjacent comma — aligns service rows
-/// (which stamp `wall_ms` and `cache_hit`) with fresh-solve rows.
-fn strip_field(row: &str, key: &str) -> String {
-    let needle = format!("\"{key}\":");
-    let Some(start) = row.find(&needle) else {
-        return row.to_string();
-    };
-    let after = &row[start + needle.len()..];
-    let value_len = after.find([',', '}']).unwrap_or(after.len());
-    let mut end = start + needle.len() + value_len;
-    if row[end..].starts_with(',') {
-        end += 1;
-        if row[end..].starts_with(' ') {
-            end += 1;
-        }
-        format!("{}{}", &row[..start], &row[end..])
-    } else {
-        let head = row[..start].trim_end();
-        let start = head.strip_suffix(',').map_or(start, |h| h.len());
-        format!("{}{}", &row[..start], &row[end..])
-    }
-}
-
-fn canonical(row: &str) -> String {
-    strip_field(&strip_field(row.trim(), "wall_ms"), "cache_hit")
 }
 
 #[test]
@@ -95,9 +69,9 @@ fn solve_over_http_is_byte_identical_to_a_fresh_session() {
         .remove(0);
     let fresh = SolverSession::new().solve(&spec.graph, &spec.req).unwrap();
     let outcome = JobOutcome { job: JobId(0), report: fresh, cache_hit: false };
-    let fresh_row = canonical(&jobs::job_row(0, &spec, &Ok(outcome)));
+    let fresh_row = strip_nondeterministic(jobs::job_row(0, &spec, &Ok(outcome)).trim());
     assert_eq!(
-        canonical(&resp.text()),
+        strip_nondeterministic(resp.text().trim()),
         fresh_row,
         "served report must match a fresh solve"
     );

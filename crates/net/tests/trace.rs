@@ -1,34 +1,19 @@
 //! The trace replay determinism contract: replaying the same seeded
-//! trace twice produces byte-identical job rows modulo the two
-//! nondeterministic fields (`wall_ms`, `cache_hit`), with a balanced
+//! trace twice produces byte-identical job rows modulo the
+//! `NONDETERMINISTIC_FIELDS` of `decss_solver::json`, with a balanced
 //! drain audit both times — and the deliberately chaotic ingredients
 //! (cancellations, deadline pressure) resolve to the same deterministic
 //! error rows on every run.
 
 use decss_net::jobs::FileAccess;
 use decss_net::trace::{self, Arrival, GenConfig, ReplayConfig};
-
-/// Strips the two fields the contract excuses: `"cache_hit"` (a rerun
-/// may hit the cache where the first run missed) and `"wall_ms"` (wall
-/// time is wall time).
-fn strip(row: &str) -> String {
-    let mut s = row.to_string();
-    if let Some(i) = s.find("\"cache_hit\": ") {
-        let j = i + s[i..].find(", ").expect("cache_hit is never the last field") + 2;
-        s.replace_range(i..j, "");
-    }
-    if let Some(i) = s.find(", \"wall_ms\": ") {
-        let j = i + s[i..].find('}').expect("row object closes");
-        s.replace_range(i..j, "");
-    }
-    s
-}
+use decss_solver::json::strip_nondeterministic;
 
 fn job_rows(document: &str) -> Vec<String> {
     document
         .lines()
         .filter(|l| l.contains("\"job\""))
-        .map(strip)
+        .map(strip_nondeterministic)
         .collect()
 }
 
@@ -55,7 +40,7 @@ fn same_trace_twice_gives_identical_rows_and_balanced_audits() {
     assert_eq!(rows_a.len(), 36, "one row per event");
     assert_eq!(
         rows_a, rows_b,
-        "job rows must be byte-identical modulo wall_ms/cache_hit"
+        "job rows must be byte-identical modulo the nondeterministic fields"
     );
     // The error population (deliberate failures) is part of the
     // deterministic surface too.

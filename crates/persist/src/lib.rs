@@ -33,8 +33,9 @@
 //! any restore error as a clean cold start.
 //!
 //! The determinism contract rides on top: a restored service serves
-//! reports **byte-identical** (modulo `wall_ms` / `cache_hit`) to a
-//! fresh solve, pinned by the release-mode `restore_equivalence` suite.
+//! reports **byte-identical** to a fresh solve modulo
+//! [`NONDETERMINISTIC_FIELDS`](decss_solver::json::NONDETERMINISTIC_FIELDS),
+//! pinned by the release-mode `restore_equivalence` suite.
 //!
 //! ```
 //! use decss_persist::{read_snapshot, write_snapshot};

@@ -1,7 +1,7 @@
 //! The determinism contract of the persistence tier, pinned
 //! exhaustively and by property: a service restored from a snapshot
-//! serves reports **byte-identical** (modulo `wall_ms`; `cache_hit` is
-//! outcome metadata, not report content) to
+//! serves reports **byte-identical** (once `strip_nondeterministic`
+//! has removed the `NONDETERMINISTIC_FIELDS` of `decss_solver::json`) to
 //!
 //! 1. the reports the pre-drain service handed out, and
 //! 2. a fresh single-threaded [`SolverSession`] solve of the same
@@ -18,19 +18,12 @@ use decss_graphs::gen::{self, Family};
 use decss_graphs::Graph;
 use decss_persist::{decode_snapshot, encode_snapshot};
 use decss_service::{ServiceConfig, SolveService};
+use decss_solver::json::strip_nondeterministic;
 use decss_solver::{SolveReport, SolveRequest, SolverSession};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 const FAMILIES: [Family; 3] = [Family::Grid, Family::Torus, Family::Lollipop];
-
-/// The canonical byte form the contract speaks: full JSON with the one
-/// nondeterministic field (wall clock) zeroed.
-fn canonical(report: &SolveReport) -> String {
-    let mut r = report.clone();
-    r.wall_ms = 0.0;
-    r.to_json()
-}
 
 fn jobs_for(graph: &Arc<Graph>) -> Vec<(Arc<Graph>, SolveRequest)> {
     vec![
@@ -89,14 +82,14 @@ fn check_round_trip(graph: Arc<Graph>, workers: usize, cache_cap: usize) {
             assert!(outcome.cache_hit, "job {i} must be served from the restored cache");
         }
         assert_eq!(
-            canonical(&outcome.report),
-            canonical(original),
+            strip_nondeterministic(&outcome.report.to_json()),
+            strip_nondeterministic(&original.to_json()),
             "job {i}: restored report differs from the pre-drain one"
         );
         let fresh = session.solve(&batch[i].0, &batch[i].1).expect("fresh solve succeeds");
         assert_eq!(
-            canonical(&outcome.report),
-            canonical(&fresh),
+            strip_nondeterministic(&outcome.report.to_json()),
+            strip_nondeterministic(&fresh.to_json()),
             "job {i}: restored report differs from a fresh solve"
         );
         assert_eq!(outcome.report.fingerprint, fresh.fingerprint);

@@ -19,9 +19,9 @@
 //! The contract that makes the service safe to put in front of every
 //! pipeline: a [`JobOutcome`]'s report is **byte-identical** to a fresh
 //! single-threaded solve of the same `(graph, request)` pair, modulo
-//! the `wall_ms` stamp and the [`JobOutcome::cache_hit`] flag — pinned
-//! across worker counts, cache settings, and duplicate mixes by the
-//! stress/property suite (`tests/stress.rs`).
+//! [`NONDETERMINISTIC_FIELDS`](decss_solver::json::NONDETERMINISTIC_FIELDS)
+//! — pinned across worker counts, cache settings, and duplicate mixes by
+//! the stress/property suite (`tests/stress.rs`).
 //!
 //! ```
 //! use decss_service::{ServiceConfig, SolveService};

@@ -677,6 +677,7 @@ fn run_job(
 mod tests {
     use super::*;
     use decss_graphs::gen;
+    use decss_solver::json::strip_nondeterministic;
     use std::time::Duration;
 
     fn grid() -> Arc<Graph> {
@@ -721,13 +722,9 @@ mod tests {
         assert_eq!(stats.cache_misses, 2);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
         // Hits are byte-identical to the miss, bar the restamped clock.
-        let canonical = |r: &JobResult| {
-            let mut report = r.as_ref().unwrap().report.clone();
-            report.wall_ms = 0.0;
-            report.to_json()
-        };
-        assert_eq!(canonical(&results[0]), canonical(&results[1]));
-        assert_eq!(canonical(&results[0]), canonical(&results[2]));
+        let row = |i: usize| strip_nondeterministic(&results[i].as_ref().unwrap().report.to_json());
+        assert_eq!(row(0), row(1));
+        assert_eq!(row(0), row(2));
         assert_eq!(service.log().audit(), Ok(4));
     }
 
@@ -1000,11 +997,8 @@ mod tests {
         for (replay, original) in restored.join_all(&replays).into_iter().zip(&originals) {
             let outcome = replay.unwrap();
             assert!(outcome.cache_hit, "restored entries serve as hits");
-            let mut a = outcome.report;
-            let mut b = original.clone();
-            a.wall_ms = 0.0;
-            b.wall_ms = 0.0;
-            assert_eq!(a.to_json(), b.to_json(), "byte-identical modulo wall_ms");
+            let (a, b) = (outcome.report.to_json(), original.to_json());
+            assert_eq!(strip_nondeterministic(&a), strip_nondeterministic(&b));
         }
         let stats = restored.stats();
         assert_eq!((stats.submitted, stats.cache_hits), (4, 2));

@@ -2,8 +2,9 @@
 //! counts, cache settings, queue bounds, duplicate loads, and registry
 //! algorithms, the batch service must be *invisible* — every report
 //! byte-identical to a fresh single-threaded [`SolverSession`] solve of
-//! the same `(graph, request)` pair (modulo the `wall_ms` stamp and the
-//! `cache_hit` flag), every duplicate served from the cache when one is
+//! the same `(graph, request)` pair (once [`strip_nondeterministic`]
+//! has removed the `NONDETERMINISTIC_FIELDS` of `decss_solver::json`),
+//! every duplicate served from the cache when one is
 //! configured, and no job lost or double-completed even when the
 //! bounded queue forces backpressure on the submitter.
 //!
@@ -13,18 +14,10 @@
 
 use decss_graphs::{gen, Graph};
 use decss_service::{ServiceConfig, SolveService};
-use decss_solver::{SolveReport, SolveRequest, SolverSession};
+use decss_solver::json::strip_nondeterministic;
+use decss_solver::{SolveRequest, SolverSession};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// The byte-for-byte comparison key: the full JSON rendering (edges,
-/// weights, bounds, rounds, quality, failed edges, params echo) with
-/// the one nondeterministic field zeroed.
-fn canonical(report: &SolveReport) -> String {
-    let mut r = report.clone();
-    r.wall_ms = 0.0;
-    r.to_json()
-}
 
 /// The mixed job load: every registry algorithm at least once (the
 /// exact solver on an instance inside its edge cap), knobs exercised
@@ -97,8 +90,8 @@ proptest! {
             let outcome = result.as_ref().expect("every job in the mix solves");
             let fresh = reference.solve(graph, req).expect("reference solve");
             prop_assert_eq!(
-                canonical(&outcome.report),
-                canonical(&fresh),
+                strip_nondeterministic(&outcome.report.to_json()),
+                strip_nondeterministic(&fresh.to_json()),
                 "service report diverged for {} (workers={workers} cache={cache_cap} queue={queue_cap})",
                 req.algorithm
             );
@@ -141,9 +134,9 @@ proptest! {
             .collect();
         let ids = service.submit_batch(jobs);
         let results = service.join_all(&ids);
-        let first = canonical(&results[0].as_ref().unwrap().report);
+        let first = strip_nondeterministic(&results[0].as_ref().unwrap().report.to_json());
         for r in &results {
-            prop_assert_eq!(canonical(&r.as_ref().unwrap().report), first.clone());
+            prop_assert_eq!(strip_nondeterministic(&r.as_ref().unwrap().report.to_json()), first.clone());
         }
         let stats = service.stats();
         prop_assert_eq!(stats.cache_misses, 1, "one copy pays for the solve");
@@ -167,8 +160,8 @@ fn cross_worker_session_reuse_stays_deterministic() {
             let outcome = result.expect("solves");
             let fresh = reference.solve(graph, req).expect("reference solve");
             assert_eq!(
-                canonical(&outcome.report),
-                canonical(&fresh),
+                strip_nondeterministic(&outcome.report.to_json()),
+                strip_nondeterministic(&fresh.to_json()),
                 "round {round}, {}",
                 req.algorithm
             );

@@ -238,8 +238,8 @@ impl SolveReport {
         if let Some(fp) = self.fingerprint {
             let _ = write!(out, ", \"fingerprint\": {fp}");
         }
-        // Last on purpose: the one nondeterministic field, so sweep
-        // consumers can diff rows by stripping the tail.
+        // Listed in `json::NONDETERMINISTIC_FIELDS`: comparisons strip it
+        // by key, so its position does not matter.
         let _ = write!(out, ", \"wall_ms\": {:.3}", self.wall_ms);
         out
     }

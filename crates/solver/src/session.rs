@@ -78,7 +78,8 @@ impl SolverSession {
     ///
     /// [`SolveError::UnknownAlgorithm`] for unregistered names,
     /// [`SolveError::BadRequest`]/[`SolveError::BadEpsilon`] for
-    /// out-of-domain knobs, and whatever the solver itself returns.
+    /// out-of-domain knobs, whatever the solver itself returns, and a
+    /// deadline or cancel error even for a solve that finished late.
     pub fn solve(&mut self, g: &Graph, req: &SolveRequest) -> Result<SolveReport, SolveError> {
         if req.bandwidth == 0 {
             return Err(SolveError::BadRequest("bandwidth must be >= 1".into()));
@@ -168,6 +169,8 @@ impl SolverSession {
             report.fingerprint = Some(graph_fingerprint(instance));
         }
         report.wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        // A solve that ends past its deadline or a cancel is an error.
+        self.cx.checkpoint()?;
         Ok(report)
     }
 
@@ -213,6 +216,7 @@ impl SolverSession {
                 report.incremental = Some(stats);
                 report.fingerprint = Some(inst.fingerprint());
                 report.wall_ms = started.elapsed().as_secs_f64() * 1e3;
+                self.cx.checkpoint()?;
                 Ok(report)
             }
             Err(err) => Err(delta_error(err)),
@@ -325,6 +329,36 @@ mod tests {
             report.params,
             "epsilon=0.25 variant=default seed=default bandwidth=1 fail_edges=0"
         );
+    }
+
+    #[test]
+    fn a_solve_that_finishes_past_its_deadline_is_an_error() {
+        // Sleeps through its budget without a checkpoint, then reports.
+        struct Sleepy;
+        impl crate::Solver for Sleepy {
+            fn name(&self) -> &'static str {
+                "sleepy"
+            }
+            fn description(&self) -> &'static str {
+                "sleeps 20 ms, then returns an empty report"
+            }
+            fn solve(
+                &self,
+                _: &Graph,
+                _: &SolveRequest,
+                _: &mut SolveCx,
+            ) -> Result<SolveReport, SolveError> {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                Ok(SolveReport { algorithm: "sleepy".into(), ..SolveReport::default() })
+            }
+        }
+        let mut registry = Registry::empty();
+        registry.register(|| Box::new(Sleepy));
+        let mut session = SolverSession::with_registry(registry);
+        let g = gen::cycle(5, 9, 0);
+        let late = SolveRequest::new("sleepy").deadline(std::time::Duration::from_millis(5));
+        assert!(matches!(session.solve(&g, &late), Err(SolveError::DeadlineExceeded)));
+        assert!(session.solve(&g, &SolveRequest::new("sleepy")).is_ok());
     }
 
     #[test]

@@ -399,8 +399,8 @@ fn scenario(args: &[String]) -> Result<ExitCode, Failure> {
     // drain the queue while this thread submits, duplicate cells
     // coalesce in the instance cache, and joining in submission order
     // keeps the rows in grid order — byte-identical to the old
-    // single-session sweep (modulo `wall_ms`) by the service's
-    // determinism contract.
+    // single-session sweep (modulo `NONDETERMINISTIC_FIELDS`) by the
+    // service's determinism contract.
     // Per-solve deadline semantics (`deadline_from_submit(false)`): a
     // sweep submits its whole grid up front, so queue position is a
     // batching artifact — `--deadline-ms` budgets each *run*, exactly

@@ -1,5 +1,6 @@
 //! End-to-end tests of the `decss` CLI binary.
 
+use decss::solver::json::strip_nondeterministic;
 use std::process::Command;
 
 fn decss(args: &[&str]) -> (String, String, bool) {
@@ -260,13 +261,11 @@ fn scenario_bandwidth_and_failure_knobs_reach_the_sweep_json() {
         "2",
     ]);
     assert!(ok);
-    let strip_wall = |s: &str| {
-        s.lines()
-            .map(|l| l.split(", \"wall_ms\"").next().unwrap_or(l).to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip_wall(&out), strip_wall(&again), "sweeps must be deterministic");
+    assert_eq!(
+        strip_nondeterministic(&out),
+        strip_nondeterministic(&again),
+        "sweeps must be deterministic"
+    );
 }
 
 #[test]
@@ -401,24 +400,14 @@ fn trace_gen_is_seed_deterministic_and_replayable() {
     // A second replay gives the same rows.
     let (out2, _, code) = replay();
     assert_eq!(code, Some(0));
-    let strip = |doc: &str| {
-        doc.lines()
+    let job_rows = |doc: &str| {
+        strip_nondeterministic(doc)
+            .lines()
             .filter(|l| l.contains("\"job\""))
-            .map(|l| {
-                let mut s = l.to_string();
-                if let Some(i) = s.find("\"cache_hit\": ") {
-                    let j = i + s[i..].find(", ").unwrap() + 2;
-                    s.replace_range(i..j, "");
-                }
-                if let Some(i) = s.find(", \"wall_ms\": ") {
-                    let j = i + s[i..].find('}').unwrap();
-                    s.replace_range(i..j, "");
-                }
-                s
-            })
+            .map(String::from)
             .collect::<Vec<_>>()
     };
-    assert_eq!(strip(&out), strip(&out2), "replay rows are deterministic");
+    assert_eq!(job_rows(&out), job_rows(&out2), "replay rows are deterministic");
 }
 
 #[test]

@@ -6,11 +6,15 @@
 //! instead of silently in a consumer.
 //!
 //! Values are checked through the same dialect (`string_field` /
-//! `number_field`) the real consumers use; `wall_ms` — the one
-//! nondeterministic field — is asserted present, then stripped for the
-//! cross-run and cross-worker-count determinism comparisons.
+//! `number_field`) the real consumers use; the nondeterministic fields
+//! (`NONDETERMINISTIC_FIELDS`) are asserted present, then stripped by
+//! `strip_nondeterministic` for the cross-run and cross-worker-count
+//! determinism comparisons, the same way CI's `.github/strip_rows.sh`
+//! strips them.
 
-use decss::solver::json::{number_field, string_field};
+use decss::solver::json::{
+    number_field, string_field, strip_nondeterministic, NONDETERMINISTIC_FIELDS,
+};
 use std::process::Command;
 
 fn decss(args: &[&str]) -> (String, String, bool) {
@@ -44,11 +48,10 @@ fn keys_of(line: &str) -> Vec<String> {
     keys
 }
 
-fn strip_wall_ms(doc: &str) -> String {
-    doc.lines()
-        .map(|l| l.split(", \"wall_ms\"").next().unwrap_or(l).to_string())
-        .collect::<Vec<_>>()
-        .join("\n")
+/// A job row past its `"job"` id, without the nondeterministic fields.
+fn past_job_id(row: &str) -> String {
+    let (_, fields) = row.trim_end_matches(',').split_once(", ").expect("job id");
+    strip_nondeterministic(fields)
 }
 
 #[test]
@@ -134,7 +137,8 @@ fn scenario_document_schema_is_pinned() {
     assert!(number_field(rows[0], "wall_ms").is_some(), "wall_ms must be emitted");
 
     // Determinism across worker counts: the sweep through 3 workers is
-    // byte-identical modulo wall_ms and the header's own workers field.
+    // byte-identical modulo the nondeterministic fields and the
+    // header's own workers field.
     let (multi, err, ok) = decss(&[
         "scenario",
         "--families",
@@ -150,13 +154,25 @@ fn scenario_document_schema_is_pinned() {
     ]);
     assert!(ok, "{err}");
     let body = |doc: &str| {
-        strip_wall_ms(doc)
+        strip_nondeterministic(doc)
             .lines()
             .filter(|l| !l.contains("\"workers\""))
             .collect::<Vec<_>>()
             .join("\n")
     };
     assert_eq!(body(&out), body(&multi), "worker count leaked into the rows");
+}
+
+/// CI's smokes diff serve and replay rows through
+/// `.github/strip_rows.sh`, which must strip exactly the library's list.
+#[test]
+fn ci_row_stripper_lists_the_nondeterministic_fields() {
+    let script = include_str!("../.github/strip_rows.sh");
+    let fields = script
+        .lines()
+        .find_map(|l| l.strip_prefix("FIELDS=\"")?.strip_suffix('"'))
+        .expect("the script sets FIELDS");
+    assert_eq!(fields.split(' ').collect::<Vec<_>>(), NONDETERMINISTIC_FIELDS);
 }
 
 #[test]
@@ -270,21 +286,15 @@ fn serve_document_schema_is_pinned() {
     }
     // Exactly one of the two duplicates is the cache hit (*which* one
     // claims the key first is a worker-scheduling race under 2 workers),
-    // and the rows are byte-identical once the nondeterministic bits —
-    // wall_ms and the flag itself — are stripped.
+    // and the rows are byte-identical past the job id once the
+    // nondeterministic fields, the flag among them, are stripped.
     let hit_count = rows[..2].iter().filter(|r| r.contains("\"cache_hit\": true")).count();
     assert_eq!(
         hit_count, 1,
         "one duplicate misses, the other hits:\n{}\n{}",
         rows[0], rows[1]
     );
-    let stripped = |row: &str, id: &str| {
-        strip_wall_ms(row)
-            .replace("\"cache_hit\": true", "\"cache_hit\": _")
-            .replace("\"cache_hit\": false", "\"cache_hit\": _")
-            .replace(id, "\"job\": _")
-    };
-    assert_eq!(stripped(rows[0], "\"job\": 0"), stripped(rows[1], "\"job\": 1"));
+    assert_eq!(past_job_id(rows[0]), past_job_id(rows[1]));
 
     // Failed jobs keep the echo prefix and report an "error" field.
     let bad_jobs = dir.join("bad_jobs.json");
@@ -416,13 +426,7 @@ fn delta_job_rows_pin_the_incremental_schema() {
     // (single worker, so deterministically the second row).
     assert!(rows[0].contains("\"cache_hit\": false"), "{}", rows[0]);
     assert!(rows[1].contains("\"cache_hit\": true"), "{}", rows[1]);
-    // And the two reports agree byte-for-byte once wall_ms and the row
-    // echo are stripped.
-    let stripped = |row: &str, id: &str| {
-        strip_wall_ms(row)
-            .replace("\"cache_hit\": true", "\"cache_hit\": _")
-            .replace("\"cache_hit\": false", "\"cache_hit\": _")
-            .replace(id, "\"job\": _")
-    };
-    assert_eq!(stripped(rows[0], "\"job\": 0"), stripped(rows[1], "\"job\": 1"));
+    // And the two reports agree byte-for-byte past the job id, once the
+    // nondeterministic fields are stripped.
+    assert_eq!(past_job_id(rows[0]), past_job_id(rows[1]));
 }
