@@ -10,14 +10,23 @@ use decss_tree::RootedTree;
 /// Runs the greedy algorithm: repeatedly add the candidate maximizing
 /// (newly covered tree edges) / weight until everything is covered.
 ///
-/// Returns `None` if the instance is infeasible (graph not
+/// `poll` runs before each pick, and its error ends the run (a solve's
+/// deadline or cancellation checkpoint). It sees no state of the run,
+/// so the picks do not depend on it.
+///
+/// Returns `Ok(None)` if the instance is infeasible (graph not
 /// 2-edge-connected). Zero-weight candidates are taken eagerly.
-pub fn greedy_tap(g: &Graph, tree: &RootedTree) -> Option<(Vec<EdgeId>, Weight)> {
+pub fn greedy_tap<E>(
+    g: &Graph,
+    tree: &RootedTree,
+    mut poll: impl FnMut() -> Result<(), E>,
+) -> Result<Option<(Vec<EdgeId>, Weight)>, E> {
     let inst = TapInstance::new(g, tree);
     let mut covered = Bits::zero(tree.n());
     let mut chosen: Vec<usize> = Vec::new();
     let mut total = 0u64;
     while inst.first_uncovered(&covered).is_some() {
+        poll()?;
         let mut best: Option<(f64, usize, u32)> = None;
         for i in 0..inst.candidates.len() {
             // Chosen candidates cover nothing new, so `new == 0` skips them.
@@ -38,27 +47,34 @@ pub fn greedy_tap(g: &Graph, tree: &RootedTree) -> Option<(Vec<EdgeId>, Weight)>
                 best = Some((eff, i, new));
             }
         }
-        let (_, i, _) = best?; // no candidate helps => infeasible
+        let Some((_, i, _)) = best else {
+            return Ok(None); // no candidate helps => infeasible
+        };
         chosen.push(i);
         covered.or_assign(&inst.cover[i]);
         total += inst.weights[i];
     }
     let mut edges: Vec<EdgeId> = chosen.iter().map(|&i| inst.candidates[i]).collect();
     edges.sort_unstable();
-    Some((edges, total))
+    Ok(Some((edges, total)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use decss_graphs::gen;
+    use std::convert::Infallible;
+
+    fn never() -> Result<(), Infallible> {
+        Ok(())
+    }
 
     #[test]
     fn greedy_covers_everything() {
         for seed in 0..5 {
             let g = gen::sparse_two_ec(30, 24, 30, seed);
             let tree = RootedTree::mst(&g);
-            let (edges, w) = greedy_tap(&g, &tree).unwrap();
+            let (edges, w) = greedy_tap(&g, &tree, never).unwrap().unwrap();
             assert!(!edges.is_empty());
             assert_eq!(w, g.weight_of(edges.iter().copied()));
             // The tree plus the augmentation is 2-edge-connected.
@@ -74,7 +90,7 @@ mod tests {
             let g = gen::sparse_two_ec(12, 8, 20, seed);
             let tree = RootedTree::mst(&g);
             let (_, exact) = crate::exact_tap(&g, &tree).unwrap();
-            let (_, greedy) = greedy_tap(&g, &tree).unwrap();
+            let (_, greedy) = greedy_tap(&g, &tree, never).unwrap().unwrap();
             let hn = (tree.num_tree_edges() as f64).ln() + 1.0;
             assert!(
                 greedy as f64 <= hn * exact as f64 + 1e-9,
@@ -89,6 +105,37 @@ mod tests {
             .unwrap();
         let tree =
             RootedTree::new(&g, decss_graphs::VertexId(0), &[EdgeId(0), EdgeId(1), EdgeId(2)]);
-        assert_eq!(greedy_tap(&g, &tree), None);
+        assert_eq!(greedy_tap(&g, &tree, never), Ok(None));
+    }
+
+    /// Every poll precedes one pick: a poll that fails on its `k`-th call
+    /// ends the run after exactly `k − 1` picks, with the poll's error.
+    #[test]
+    fn failing_poll_stops_before_the_next_pick() {
+        let g = gen::sparse_two_ec(30, 24, 30, 2);
+        let tree = RootedTree::mst(&g);
+        let mut calls = 0;
+        let (edges, _) = greedy_tap(&g, &tree, || {
+            calls += 1;
+            never()
+        })
+        .unwrap()
+        .unwrap();
+        let picks = calls;
+        assert_eq!(edges.len(), picks);
+        assert!(picks >= 3, "{picks} picks");
+        for k in 1..=picks {
+            let mut calls = 0;
+            let got = greedy_tap(&g, &tree, || {
+                calls += 1;
+                if calls == k {
+                    Err(calls - 1)
+                } else {
+                    Ok(())
+                }
+            });
+            assert_eq!(got, Err(k - 1), "poll failing on call {k}");
+            assert_eq!(calls, k, "poll failing on call {k}");
+        }
     }
 }

@@ -25,7 +25,7 @@ use decss_shortcuts::fragments::FragmentHierarchy;
 use decss_shortcuts::shortcut::{best_shortcut_ws, ShortcutQuality};
 use decss_shortcuts::{shortcut_two_ecss, ShortcutConfig, ShortcutWorkspace};
 use decss_tree::aggregates::{CoverArc, CoverEngine};
-use decss_tree::{EulerTour, HeavyLight, LcaOracle, RootedTree};
+use decss_tree::{LcaOracle, RootedTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,7 +50,7 @@ fn instance(family: &str, n: usize) -> Graph {
 struct Prepared {
     g: Graph,
     tree: RootedTree,
-    hld: HeavyLight,
+    index: LcaOracle,
     bfs: decss_graphs::algo::BfsTree,
 }
 
@@ -60,16 +60,15 @@ fn prepare(family: &str, n: usize) -> Prepared {
 
 fn prepare_graph(g: Graph) -> Prepared {
     let tree = RootedTree::mst(&g);
-    let euler = EulerTour::new(&tree);
-    let hld = HeavyLight::new(&tree, &euler);
+    let index = LcaOracle::new(&tree);
     let bfs = bfs_tree(&g, tree.root());
-    Prepared { g, tree, hld, bfs }
+    Prepared { g, tree, index, bfs }
 }
 
 /// The flat construction path: hierarchy + per-level partitions + both
 /// shortcut constructions, all on one reused workspace.
 fn flat_level_quality(p: &Prepared, ws: &mut ShortcutWorkspace) -> Vec<ShortcutQuality> {
-    let h = FragmentHierarchy::new(&p.tree, &p.hld);
+    let h = FragmentHierarchy::new(&p.tree, &p.index);
     (0..h.num_levels())
         .map(|d| {
             let partition = h.level_partition(&p.g, d);
@@ -112,7 +111,7 @@ fn bench_fragments(c: &mut Criterion) {
     for n in FRAGMENT_SIZES {
         let p = prepare("grid", n);
         group.bench_with_input(BenchmarkId::new(format!("{n}"), "flat"), &p, |b, p| {
-            b.iter(|| FragmentHierarchy::new(&p.tree, &p.hld))
+            b.iter(|| FragmentHierarchy::new(&p.tree, &p.index))
         });
     }
     group.finish();

@@ -41,8 +41,7 @@ pub fn run(scale: Scale) {
         let tree = decss_tree::RootedTree::mst(&g);
         let lca = decss_tree::LcaOracle::new(&tree);
         let layering = decss_tree::Layering::new(&tree);
-        let euler = decss_tree::EulerTour::new(&tree);
-        let segs = decss_tree::SegmentDecomposition::new(&tree, &euler);
+        let segs = decss_tree::SegmentDecomposition::new(&tree, lca.euler());
         let params = decss_core::rounds::measure(&g, tree.root(), &segs);
         let vg = decss_core::VirtualGraph::new(&g, &tree, &lca);
         let engine = vg.engine(&tree, &lca);

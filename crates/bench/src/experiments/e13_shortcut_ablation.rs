@@ -10,7 +10,7 @@ use decss_graphs::algo::bfs_tree;
 use decss_graphs::{gen, VertexId};
 use decss_shortcuts::fragments::FragmentHierarchy;
 use decss_shortcuts::shortcut::{threshold_bfs, tree_restricted};
-use decss_tree::{EulerTour, HeavyLight, RootedTree};
+use decss_tree::{LcaOracle, RootedTree};
 
 /// Runs the ablation and prints Table 11.
 pub fn run(scale: Scale) {
@@ -42,9 +42,7 @@ pub fn run(scale: Scale) {
                 _ => unreachable!(),
             };
             let tree = RootedTree::mst(&g);
-            let euler = EulerTour::new(&tree);
-            let hld = HeavyLight::new(&tree, &euler);
-            let hierarchy = FragmentHierarchy::new(&tree, &hld);
+            let hierarchy = FragmentHierarchy::new(&tree, &LcaOracle::new(&tree));
             let bfs = bfs_tree(&g, VertexId(0));
             // Report the busiest level (most parts).
             let level = (0..hierarchy.num_levels())

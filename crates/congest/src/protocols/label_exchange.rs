@@ -6,8 +6,9 @@
 //! "each two vertices adjacent in G can know their LCA".
 //!
 //! Labels are supplied by the caller as flat word lists (the logical
-//! pipeline computes them via `decss_tree::HeavyLight`); the protocol is
-//! payload-agnostic chunked transfer with per-edge sequencing.
+//! pipeline answers the same LCA queries centrally, by climbing the heavy
+//! paths of `decss_tree::LcaOracle`); the protocol is payload-agnostic
+//! chunked transfer with per-edge sequencing.
 
 use crate::message::{Message, DEFAULT_BANDWIDTH};
 use crate::metrics::SimReport;

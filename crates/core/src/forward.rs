@@ -72,7 +72,7 @@ impl ForwardResult {
 pub fn forward_phase(
     tree: &RootedTree,
     layering: &Layering,
-    engine: &CoverEngine,
+    engine: &CoverEngine<'_>,
     weights: &[f64],
     epsilon_prime: f64,
     params: &CostParams,
@@ -220,7 +220,7 @@ pub fn forward_phase(
 
 /// Checks that all dual constraints hold up to `(1+ε')` (with float
 /// slack); returns the maximum violation ratio `s(e) / w(e)` observed.
-pub fn max_dual_violation(engine: &CoverEngine, weights: &[f64], y: &[f64]) -> f64 {
+pub fn max_dual_violation(engine: &CoverEngine<'_>, weights: &[f64], y: &[f64]) -> f64 {
     let s = engine.covered_sum(y);
     s.iter()
         .zip(weights)

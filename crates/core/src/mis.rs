@@ -63,7 +63,7 @@ pub struct MisContext<'a> {
     /// Segment decomposition.
     pub segments: &'a SegmentDecomposition,
     /// Aggregation engine over the virtual edges.
-    pub engine: &'a CoverEngine,
+    pub engine: &'a CoverEngine<'a>,
 }
 
 impl MisContext<'_> {

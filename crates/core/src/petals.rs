@@ -33,7 +33,7 @@ impl PetalTable {
     /// Computes the petals of all layer-`i` edges with respect to the
     /// active arc set `x_active`.
     pub fn compute(
-        engine: &CoverEngine,
+        engine: &CoverEngine<'_>,
         lca: &LcaOracle,
         layering: &Layering,
         tree_root: VertexId,

@@ -7,13 +7,13 @@ use decss_tree::RootedTree;
 
 /// Whether `chosen` (virtual-edge indices as a mask) covers every tree
 /// edge.
-pub fn covers_all_tree_edges(tree: &RootedTree, engine: &CoverEngine, chosen: &[bool]) -> bool {
+pub fn covers_all_tree_edges(tree: &RootedTree, engine: &CoverEngine<'_>, chosen: &[bool]) -> bool {
     let counts = engine.covering_count(chosen);
     tree.tree_edge_children().all(|v| counts[v.index()] > 0)
 }
 
 /// Cover count per tree edge (indexed by child vertex).
-pub fn cover_counts(engine: &CoverEngine, chosen: &[bool]) -> Vec<u32> {
+pub fn cover_counts(engine: &CoverEngine<'_>, chosen: &[bool]) -> Vec<u32> {
     engine.covering_count(chosen)
 }
 

@@ -92,8 +92,9 @@ impl VirtualGraph {
         self.edges.iter().map(|e| e.weight as f64).collect()
     }
 
-    /// Builds the aggregation engine over the virtual edges' arcs.
-    pub fn engine(&self, tree: &RootedTree, lca: &LcaOracle) -> CoverEngine {
+    /// Builds the aggregation engine over the virtual edges' arcs. The
+    /// engine borrows the tree and its oracle, not `self`.
+    pub fn engine<'a>(&self, tree: &'a RootedTree, lca: &'a LcaOracle) -> CoverEngine<'a> {
         CoverEngine::new(tree, lca, self.edges.iter().map(|e| e.arc).collect())
     }
 

@@ -4,8 +4,8 @@
 //!
 //! The retained state is everything `shortcut_two_ecss_with` derives
 //! before the set-cover driver runs: the `(weight, id)`-sorted edge
-//! order behind the MST, the rooted MST itself, the heavy-light
-//! decomposition and fragment hierarchy, the BFS backbone, and — per
+//! order behind the MST, the rooted MST with its [`LcaOracle`] (the
+//! tree index) and fragment hierarchy, the BFS backbone, and — per
 //! hierarchy level — both constructions' per-part radii and `α` values,
 //! measured in full (a fresh [`crate::shortcut::best_shortcut_ws`]
 //! stops the tree-restricted pass once it cannot win, but a delta may
@@ -49,7 +49,7 @@ use crate::workspace::ShortcutWorkspace;
 use decss_graphs::algo::{self, BfsTree};
 use decss_graphs::fingerprint::FingerprintAcc;
 use decss_graphs::{EdgeId, Graph, VertexId, Weight};
-use decss_tree::{EulerTour, HeavyLight, RootedTree};
+use decss_tree::{LcaOracle, RootedTree};
 use std::fmt;
 
 /// One edge mutation. A batch of deltas is applied atomically with
@@ -266,7 +266,8 @@ struct SolvedState {
     /// MST edge endpoints in id order (id-compaction-stable identity).
     tree_pairs: Vec<(VertexId, VertexId)>,
     tree: RootedTree,
-    hld: HeavyLight,
+    /// The tree's index; set cover's virtual trees read its Euler tour.
+    index: LcaOracle,
     hierarchy: FragmentHierarchy,
     bfs: BfsTree,
     /// Per-level per-part radii + alphas behind `level_quality`.
@@ -298,9 +299,8 @@ impl SolvedState {
     ) -> SolvedState {
         let tree_pairs = endpoint_pairs(g, &tree_ids);
         let tree = RootedTree::new(g, VertexId(0), &tree_ids);
-        let euler = EulerTour::new(&tree);
-        let hld = HeavyLight::new(&tree, &euler);
-        let hierarchy = FragmentHierarchy::new(&tree, &hld);
+        let index = LcaOracle::new(&tree);
+        let hierarchy = FragmentHierarchy::new(&tree, &index);
         let bfs = algo::bfs_tree(g, tree.root());
         ws.ensure(g);
         let radii: Vec<LevelRadii> = (0..hierarchy.num_levels())
@@ -317,7 +317,7 @@ impl SolvedState {
             tree_ids,
             tree_pairs,
             tree,
-            hld,
+            index,
             hierarchy,
             bfs,
             radii,
@@ -583,7 +583,7 @@ fn update_structural(
     }
     // Same endpoint pairs in the same order ⇒ RootedTree::new builds
     // the identical topology (its adjacency follows the given edge
-    // order), so the vertex-level decomposition (HLD, hierarchy) is
+    // order), so the vertex-level decomposition (index, hierarchy) is
     // reused verbatim; only the edge-id-carrying objects rebuild.
     let tree = RootedTree::new(g2, VertexId(0), &tree_ids);
     let bfs = algo::bfs_tree(g2, tree.root());
@@ -613,7 +613,7 @@ fn update_structural(
         return None; // > 25% of parts dirty: a fresh sweep is cheaper
     }
     let SolvedState {
-        hld, hierarchy, mut radii, mut level_quality, total_parts, ..
+        index, hierarchy, mut radii, mut level_quality, total_parts, ..
     } = state;
     ws.ensure(g2);
     let threshold = (g2.n() as f64).sqrt().ceil() as usize;
@@ -649,7 +649,7 @@ fn update_structural(
         tree_ids,
         tree_pairs,
         tree,
-        hld,
+        index,
         hierarchy,
         bfs,
         radii,
@@ -671,7 +671,7 @@ fn solve_from_state(
     let tools = ScTools::from_parts(
         g,
         &state.tree,
-        state.hld.clone(),
+        state.index.clone(),
         state.hierarchy.clone(),
         state.level_quality.clone(),
         state.bfs_depth,

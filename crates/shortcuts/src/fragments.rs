@@ -17,7 +17,7 @@
 
 use crate::partition::Partition;
 use decss_graphs::{Graph, VertexId};
-use decss_tree::{HeavyLight, RootedTree};
+use decss_tree::{LcaOracle, RootedTree};
 
 /// The fragment hierarchy: spines grouped by light depth, in one flat
 /// arena. Level `d` holds the spines whose tops have `d` light edges on
@@ -38,19 +38,19 @@ pub struct FragmentHierarchy {
 }
 
 impl FragmentHierarchy {
-    /// Builds the hierarchy from a tree and its heavy-light
-    /// decomposition. `O(n)` and allocation-flat: spine lengths are
-    /// counted per heavy-path head, offset tables prefix-summed, and
-    /// each heavy path walked once into its arena slot.
-    pub fn new(tree: &RootedTree, hld: &HeavyLight) -> Self {
+    /// Builds the hierarchy from a tree and the heavy paths of its
+    /// index. `O(n)` and allocation-flat: spine lengths are counted per
+    /// heavy-path head, offset tables prefix-summed, and each vertex
+    /// placed into its arena slot.
+    pub fn new(tree: &RootedTree, index: &LcaOracle) -> Self {
         let n = tree.n();
         // Heads of heavy paths are exactly the fragment tops; BFS order
         // is depth-sorted, which is the order the naive build processed
         // them in (its sort by depth was stable).
         let mut frags_per_level: Vec<u32> = Vec::new();
         for &v in tree.order() {
-            if hld.head(v) == v {
-                let d = hld.light_depth(v);
+            if index.head(v) == v {
+                let d = index.light_depth(v) as usize;
                 if frags_per_level.len() <= d {
                     frags_per_level.resize(d + 1, 0);
                 }
@@ -67,7 +67,7 @@ impl FragmentHierarchy {
         // Spine length of each heavy path, keyed by its head.
         let mut spine_len = vec![0u32; n];
         for v in 0..n {
-            spine_len[hld.head(VertexId(v as u32)).index()] += 1;
+            spine_len[index.head(VertexId(v as u32)).index()] += 1;
         }
 
         // Assign fragment slots in level-grouped top order, then
@@ -76,8 +76,8 @@ impl FragmentHierarchy {
         let mut frag_of_top = vec![0u32; n];
         let mut frag_offsets = vec![0u32; num_frags + 1];
         for &v in tree.order() {
-            if hld.head(v) == v {
-                let d = hld.light_depth(v);
+            if index.head(v) == v {
+                let d = index.light_depth(v) as usize;
                 let f = next_in_level[d];
                 next_in_level[d] += 1;
                 frag_of_top[v.index()] = f;
@@ -88,29 +88,17 @@ impl FragmentHierarchy {
             frag_offsets[f + 1] += frag_offsets[f];
         }
 
-        // Walk each heavy path downward into its arena slot.
+        // A heavy path has one vertex per depth, so each vertex's slot in
+        // its head's spine is its depth below the head.
         let mut spine_verts = vec![VertexId(0); n];
         let mut spine_of = vec![(0u32, 0u32); n];
-        for &top in tree.order() {
-            if hld.head(top) != top {
-                continue;
-            }
-            let f = frag_of_top[top.index()] as usize;
-            let level = hld.light_depth(top) as u32;
-            let idx = f as u32 - level_offsets[level as usize];
-            let base = frag_offsets[f] as usize;
-            let mut cur = top;
-            let mut k = 0usize;
-            loop {
-                spine_verts[base + k] = cur;
-                spine_of[cur.index()] = (level, idx);
-                k += 1;
-                match tree.children(cur).iter().find(|&&c| hld.is_heavy_above(c)) {
-                    Some(&next) => cur = next,
-                    None => break,
-                }
-            }
-            debug_assert_eq!(k as u32, spine_len[top.index()]);
+        for &v in tree.order() {
+            let top = index.head(v);
+            let f = frag_of_top[top.index()];
+            let level = index.light_depth(v);
+            let below = index.depth(v) - index.depth(top);
+            spine_verts[(frag_offsets[f as usize] + below) as usize] = v;
+            spine_of[v.index()] = (level, f - level_offsets[level as usize]);
         }
         FragmentHierarchy { spine_verts, frag_offsets, level_offsets, spine_of }
     }
@@ -153,13 +141,10 @@ impl FragmentHierarchy {
 mod tests {
     use super::*;
     use decss_graphs::gen;
-    use decss_tree::EulerTour;
 
     fn build(g: &Graph) -> (RootedTree, FragmentHierarchy) {
         let tree = RootedTree::mst(g);
-        let euler = EulerTour::new(&tree);
-        let hld = HeavyLight::new(&tree, &euler);
-        let h = FragmentHierarchy::new(&tree, &hld);
+        let h = FragmentHierarchy::new(&tree, &LcaOracle::new(&tree));
         (tree, h)
     }
 

@@ -23,10 +23,10 @@
 //! * [`fragments`] — the `O(log n)`-level heavy-path fragment hierarchy
 //!   behind Theorems 5.1/5.2,
 //! * [`tools`] — descendants' sum, ancestors' sum, and the heavy-light
-//!   decomposition tools (Theorems 5.1–5.3),
+//!   LCA (Theorems 5.1–5.3) of the tree's one [`decss_tree::LcaOracle`],
 //! * [`probes`] — covered-edge detection via XOR fingerprints
 //!   (Lemma 5.4), set cover's upfront feasibility check, and
-//!   the candidates' heavy-light LCAs,
+//!   the candidates' LCAs,
 //! * [`setcover`] — the parallel greedy set cover of Section 5.1:
 //!   Lemma 5.5's marked-cover counts, and its sampling repetitions and
 //!   bucket loads evaluated on virtual trees (the dense forms of those

@@ -9,8 +9,8 @@
 //!   above `u` is covered iff the subtree XOR is non-zero (w.h.p.).
 //!   [`parallel_greedy_tap`](crate::setcover::parallel_greedy_tap) runs
 //!   it once, as its upfront feasibility check.
-//! * [`candidate_lcas`]: the heavy-light LCA of each candidate's
-//!   endpoints, computed once per set-cover run.
+//! * [`candidate_lcas`]: the LCA of each candidate's endpoints
+//!   ([`ScTools::lca`]), computed once per set-cover run.
 //!
 //! Lemma 5.5's marked-cover counts live in [`crate::setcover`]
 //! (`counts_over_active`), whose sampling repetitions and bucket loads
@@ -56,8 +56,8 @@ pub fn covered_mask_into(
     }));
 }
 
-/// The heavy-light LCA of each edge's endpoints (what the probes need
-/// per candidate; depends only on the tree).
+/// The LCA of each edge's endpoints, by [`ScTools::lca`] (what the
+/// probes need per candidate; depends only on the tree).
 pub fn candidate_lcas(tools: &ScTools<'_>, edges: &[EdgeId]) -> Vec<VertexId> {
     edges
         .iter()

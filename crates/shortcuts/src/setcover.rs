@@ -109,13 +109,13 @@ fn fen_query(fen: &[i32], i: usize) -> i32 {
 
 /// The sparse cover evaluator of sampling repetitions and bucket loads.
 ///
-/// Holds the Euler tour of the driver's tree, a Fenwick tree whose
-/// point query at `pre(v)` is the number of *marked* vertices on the
-/// root path of `v` (marked vertices contribute `+1` over their subtree
-/// interval), path-compressed nearest-marked-ancestor pointers, and the
-/// virtual-tree scratch reused across repetitions.
-struct SparseCover {
-    euler: EulerTour,
+/// Borrows the Euler tour of the tools' tree index. Holds a Fenwick
+/// tree whose point query at `pre(v)` is the number of *marked* vertices
+/// on the root path of `v` (marked vertices contribute `+1` over their
+/// subtree interval), path-compressed nearest-marked-ancestor pointers,
+/// and the virtual-tree scratch reused across repetitions.
+struct SparseCover<'t> {
+    euler: &'t EulerTour,
     fen: Vec<i32>,
     /// `up[v]`: a marked-or-root vertex at or above `v` (lazily
     /// compressed; `up[v] == v` means "not yet resolved").
@@ -136,10 +136,9 @@ struct SparseCover {
     chain: Vec<u32>,
 }
 
-impl SparseCover {
-    fn new(tree: &RootedTree, marked: &[bool]) -> Self {
-        let n = tree.n();
-        let euler = EulerTour::new(tree);
+impl<'t> SparseCover<'t> {
+    fn new(euler: &'t EulerTour, marked: &[bool]) -> Self {
+        let n = marked.len();
         // The tour's pre/post share one timer, so positions span
         // [0, 2n); x is in the subtree of v iff pre(v) ≤ pre(x) < post(v).
         let domain = 2 * n;
@@ -220,7 +219,7 @@ impl SparseCover {
         let tree = tools.tree;
         let root = tree.root();
         self.nodes.push(root);
-        let euler = &self.euler;
+        let euler = self.euler;
         self.nodes.sort_unstable_by_key(|&v| euler.pre(v));
         self.nodes.dedup();
         self.stack.clear();
@@ -457,7 +456,7 @@ pub fn parallel_greedy_tap(
         return None;
     }
 
-    let mut cover = SparseCover::new(tree, &marked);
+    let mut cover = SparseCover::new(tools.index.euler(), &marked);
     // Cover counts depend only on the marked set: valid until a sample
     // is accepted. The candidates that can still enter a bucket only
     // shrink (counts are monotone under unmarking, chosen is final), so
@@ -558,7 +557,7 @@ pub fn parallel_greedy_tap(
     // as the first algorithm's forward phase.
     let mut fallbacks = 0u32;
     if marked_count > 0 {
-        let lca_oracle = decss_tree::LcaOracle::new(tree);
+        let lca_oracle = &tools.index;
         let covers = |id: EdgeId, v: VertexId| -> bool {
             let e = g.edge(id);
             let w = lca_oracle.lca(e.u, e.v);

@@ -533,9 +533,8 @@ mod tests {
     ) {
         for (name, g) in corpus() {
             let tree = decss_tree::RootedTree::mst(&g);
-            let euler = decss_tree::EulerTour::new(&tree);
-            let hld = decss_tree::HeavyLight::new(&tree, &euler);
-            let h = crate::fragments::FragmentHierarchy::new(&tree, &hld);
+            let index = decss_tree::LcaOracle::new(&tree);
+            let h = crate::fragments::FragmentHierarchy::new(&tree, &index);
             let bfs = algo::bfs_tree(&g, tree.root());
             let mut ws = ShortcutWorkspace::new(&g);
             for d in 0..h.num_levels() {

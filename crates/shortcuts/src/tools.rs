@@ -1,7 +1,7 @@
 //! The three tree tools of Section 5.2, with shortcut-based round
 //! accounting: descendants' sum (Theorem 5.1), ancestors' sum
-//! (Theorem 5.2), and the heavy-light decomposition with label-only LCA
-//! (Theorem 5.3).
+//! (Theorem 5.2), and the heavy-light decomposition with its LCA
+//! (Theorem 5.3), which the tree's [`LcaOracle`] holds.
 //!
 //! Results are computed logically (they are classic tree sweeps); the
 //! cost of each *pass* is the measured shortcut quality summed over the
@@ -22,7 +22,7 @@ use decss_congest::ledger::RoundLedger;
 use decss_congest::protocols::convergecast::Agg;
 use decss_graphs::algo;
 use decss_graphs::{Graph, VertexId};
-use decss_tree::{EulerTour, HeavyLight, RootedTree};
+use decss_tree::{LcaOracle, RootedTree};
 
 /// Shortcut-powered tree tools bound to one graph + rooted tree.
 pub struct ScTools<'a> {
@@ -30,8 +30,8 @@ pub struct ScTools<'a> {
     pub graph: &'a Graph,
     /// The rooted tree the sums run over.
     pub tree: &'a RootedTree,
-    /// Heavy-light decomposition (Theorem 5.3's object).
-    pub hld: HeavyLight,
+    /// The tree's one index: Euler tour, heavy paths, LCA (Theorem 5.3).
+    pub index: LcaOracle,
     /// The fragment hierarchy.
     pub hierarchy: FragmentHierarchy,
     /// Measured shortcut quality per level.
@@ -41,7 +41,7 @@ pub struct ScTools<'a> {
 }
 
 impl<'a> ScTools<'a> {
-    /// Builds the tools: BFS backbone, HLD, hierarchy, and per-level
+    /// Builds the tools: BFS backbone, tree index, hierarchy, and per-level
     /// shortcut quality (the better construction, by
     /// [`best_shortcut_ws`]).
     pub fn new(graph: &'a Graph, tree: &'a RootedTree) -> Self {
@@ -51,9 +51,8 @@ impl<'a> ScTools<'a> {
     /// [`ScTools::new`] reusing a caller-held workspace for the
     /// per-level shortcut measurements.
     pub fn new_with(graph: &'a Graph, tree: &'a RootedTree, ws: &mut ShortcutWorkspace) -> Self {
-        let euler = EulerTour::new(tree);
-        let hld = HeavyLight::new(tree, &euler);
-        let hierarchy = FragmentHierarchy::new(tree, &hld);
+        let index = LcaOracle::new(tree);
+        let hierarchy = FragmentHierarchy::new(tree, &index);
         let bfs = algo::bfs_tree(graph, tree.root());
         let level_quality = (0..hierarchy.num_levels())
             .map(|d| best_shortcut_ws(graph, &bfs, &hierarchy.level_partition(graph, d), ws))
@@ -61,7 +60,7 @@ impl<'a> ScTools<'a> {
         ScTools {
             graph,
             tree,
-            hld,
+            index,
             hierarchy,
             level_quality,
             bfs_depth: bfs.depth(),
@@ -78,12 +77,12 @@ impl<'a> ScTools<'a> {
     pub fn from_parts(
         graph: &'a Graph,
         tree: &'a RootedTree,
-        hld: HeavyLight,
+        index: LcaOracle,
         hierarchy: FragmentHierarchy,
         level_quality: Vec<ShortcutQuality>,
         bfs_depth: u32,
     ) -> Self {
-        ScTools { graph, tree, hld, hierarchy, level_quality, bfs_depth }
+        ScTools { graph, tree, index, hierarchy, level_quality, bfs_depth }
     }
 
     /// Rounds of one full pass over the hierarchy (one tool invocation):
@@ -140,16 +139,17 @@ impl<'a> ScTools<'a> {
         }
     }
 
-    /// Label-only LCA (Theorem 5.3): computed from the two vertices'
-    /// light-edge lists and depths, as adjacent endpoints do it.
+    /// The LCA of Theorem 5.3. Adjacent endpoints compute it from their
+    /// light-edge lists; the tree index answers it centrally by climbing
+    /// the same heavy paths.
     pub fn lca(&self, u: VertexId, v: VertexId) -> VertexId {
-        self.hld.lca_from_lists(u, self.tree.depth(u), v, self.tree.depth(v))
+        self.index.lca(u, v)
     }
 
     /// Charges the one-time cost of distributing the heavy-light labels
-    /// (Theorem 5.3: a subtree-size pass plus `O(log n)` ancestors'
-    /// passes for the light-edge lists, whose entries are `O(log n)`
-    /// words).
+    /// that [`ScTools::lca`] stands for (Theorem 5.3: a subtree-size pass
+    /// plus `O(log n)` ancestors' passes for the light-edge lists, whose
+    /// entries are `O(log n)` words).
     pub fn charge_hld_setup(&self, ledger: &mut RoundLedger) {
         let levels = self.hierarchy.num_levels().max(1) as u64;
         ledger.charge("sc.hld-setup", self.pass_cost() * (1 + levels));
@@ -231,15 +231,21 @@ mod tests {
     }
 
     #[test]
-    fn label_lca_matches_oracle() {
+    fn lca_matches_a_parent_walk() {
         let g = gen::gnp_two_ec(50, 0.08, 20, 9);
         let tree = RootedTree::mst(&g);
         let tools = ScTools::new(&g, &tree);
-        let oracle = decss_tree::LcaOracle::new(&tree);
         for a in (0..50u32).step_by(3) {
             for b in (0..50u32).step_by(7) {
-                let (a, b) = (VertexId(a), VertexId(b));
-                assert_eq!(tools.lca(a, b), oracle.lca(a, b), "lca({a},{b})");
+                let (mut x, mut y) = (VertexId(a), VertexId(b));
+                while x != y {
+                    if tree.depth(x) >= tree.depth(y) {
+                        x = tree.parent(x).unwrap();
+                    } else {
+                        y = tree.parent(y).unwrap();
+                    }
+                }
+                assert_eq!(tools.lca(VertexId(a), VertexId(b)), x, "lca({a},{b})");
             }
         }
     }

@@ -18,7 +18,7 @@ use decss_shortcuts::setcover::{parallel_greedy_tap, SetCoverConfig};
 use decss_shortcuts::shortcut::{threshold_bfs_ws, tree_restricted_ws};
 use decss_shortcuts::tools::ScTools;
 use decss_shortcuts::ShortcutWorkspace;
-use decss_tree::{EulerTour, HeavyLight, RootedTree};
+use decss_tree::{LcaOracle, RootedTree};
 use proptest::prelude::*;
 
 const FAMILIES: [&str; 4] = ["ladder", "grid", "outerplanar", "hard-sqrt"];
@@ -43,13 +43,12 @@ fn instance(family: &str, n: usize, seed: u64) -> Graph {
 /// cross-call scratch cleanliness.
 fn assert_equivalent(g: &Graph, ws: &mut ShortcutWorkspace) {
     let tree = RootedTree::mst(g);
-    let euler = EulerTour::new(&tree);
-    let hld = HeavyLight::new(&tree, &euler);
+    let index = LcaOracle::new(&tree);
     let bfs = bfs_tree(g, tree.root());
 
     // Fragment hierarchy: same level/spine layout, same spine_of.
-    let flat = FragmentHierarchy::new(&tree, &hld);
-    let (naive_levels, naive_spine_of) = naive::fragment_levels(&tree, &hld);
+    let flat = FragmentHierarchy::new(&tree, &index);
+    let (naive_levels, naive_spine_of) = naive::fragment_levels(&tree, &index);
     assert_eq!(flat.num_levels(), naive_levels.len(), "level count");
     for (d, level) in naive_levels.iter().enumerate() {
         assert_eq!(flat.num_fragments(d), level.len(), "fragments at level {d}");
@@ -86,7 +85,7 @@ fn assert_equivalent(g: &Graph, ws: &mut ShortcutWorkspace) {
     let tools = decss_shortcuts::tools::ScTools::new_with(g, &tree, ws);
     assert_eq!(
         tools.level_quality,
-        naive::level_quality(g, &tree, &hld, &bfs),
+        naive::level_quality(g, &tree, &index, &bfs),
         "level_quality"
     );
 }
@@ -130,10 +129,9 @@ proptest! {
     fn steiner_edges_match_naive_on_a_deep_ladder(seed in 0u64..1000) {
         let g = gen::ladder(1_500, 24, seed);
         let tree = RootedTree::mst(&g);
-        let euler = EulerTour::new(&tree);
-        let hld = HeavyLight::new(&tree, &euler);
+        let index = LcaOracle::new(&tree);
         let bfs = bfs_tree(&g, tree.root());
-        let h = FragmentHierarchy::new(&tree, &hld);
+        let h = FragmentHierarchy::new(&tree, &index);
         for d in 0..h.num_levels() {
             let partition = h.level_partition(&g, d);
             for (i, part) in partition.parts().enumerate() {

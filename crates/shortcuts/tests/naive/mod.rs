@@ -20,7 +20,7 @@ use decss_shortcuts::setcover::{SetCoverConfig, SetCoverResult, REPS_PER_SUBPHAS
 use decss_shortcuts::shortcut::{ShortcutQuality, ShortcutScheme};
 use decss_shortcuts::tools::ScTools;
 use decss_shortcuts::workspace::ShortcutWorkspace;
-use decss_tree::{HeavyLight, RootedTree};
+use decss_tree::{LcaOracle, RootedTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -168,24 +168,24 @@ pub type NaiveLevels = Vec<Vec<Vec<VertexId>>>;
 /// spines, plus `spine_of` in the same (level, index-within-level)
 /// convention as
 /// [`decss_shortcuts::fragments::FragmentHierarchy::spine_of`].
-pub fn fragment_levels(tree: &RootedTree, hld: &HeavyLight) -> (NaiveLevels, Vec<(u32, u32)>) {
+pub fn fragment_levels(tree: &RootedTree, index: &LcaOracle) -> (NaiveLevels, Vec<(u32, u32)>) {
     let n = tree.n();
     let mut levels: Vec<Vec<Vec<VertexId>>> = Vec::new();
     let mut spine_of = vec![(0u32, 0u32); n];
     // Heads of heavy paths are exactly the fragment tops.
     let mut tops: Vec<VertexId> =
-        tree.order().iter().copied().filter(|&v| hld.head(v) == v).collect();
+        tree.order().iter().copied().filter(|&v| index.head(v) == v).collect();
     // Process tops in BFS order so parents' levels are known.
     tops.sort_by_key(|&v| tree.depth(v));
     for top in tops {
-        let level = hld.light_depth(top);
+        let level = index.light_depth(top) as usize;
         while levels.len() <= level {
             levels.push(Vec::new());
         }
         // Walk the heavy path downward.
         let mut spine = vec![top];
         let mut cur = top;
-        while let Some(&next) = tree.children(cur).iter().find(|&&c| hld.is_heavy_above(c)) {
+        while let Some(&next) = tree.children(cur).iter().find(|&&c| index.is_heavy_above(c)) {
             spine.push(next);
             cur = next;
         }
@@ -206,10 +206,10 @@ pub fn fragment_levels(tree: &RootedTree, hld: &HeavyLight) -> (NaiveLevels, Vec
 pub fn level_quality(
     g: &Graph,
     tree: &RootedTree,
-    hld: &HeavyLight,
+    index: &LcaOracle,
     bfs: &BfsTree,
 ) -> Vec<ShortcutQuality> {
-    let (levels, _) = fragment_levels(tree, hld);
+    let (levels, _) = fragment_levels(tree, index);
     levels
         .iter()
         .map(|spines| {

@@ -215,7 +215,8 @@ impl Solver for GreedySolver {
         }
         let tree = RootedTree::mst(g);
         cx.checkpoint()?;
-        let (aug, aug_weight) = greedy_tap(g, &tree).ok_or(SolveError::NotTwoEdgeConnected)?;
+        let (aug, aug_weight) =
+            greedy_tap(g, &tree, || cx.checkpoint())?.ok_or(SolveError::NotTwoEdgeConnected)?;
         let (edges, mst_weight) = compose_mst_plus(g, &tree, &aug);
         let mut trace = Vec::new();
         if req.trace >= TraceLevel::Summary {

@@ -13,6 +13,7 @@ use decss_shortcuts::{shortcut_two_ecss, ShortcutConfig};
 use decss_solver::{certified_ratio, SolveReport, SolveRequest, SolverSession};
 use decss_tree::RootedTree;
 use proptest::prelude::*;
+use std::convert::Infallible;
 
 const FAMILIES: [&str; 5] = ["sparse", "grid", "outerplanar", "hard-sqrt", "lollipop"];
 
@@ -86,7 +87,9 @@ fn assert_registry_parity(g: &Graph, session: &mut SolverSession, what: &str) {
 
     // greedy / cheapest-cover / unweighted — MST + the baseline TAP.
     let tree = RootedTree::mst(g);
-    let (aug, aug_w) = greedy_tap(g, &tree).expect("2EC instance");
+    let (aug, aug_w) = greedy_tap(g, &tree, || Ok::<_, Infallible>(()))
+        .expect("the poll never fails")
+        .expect("2EC instance");
     let (edges, mst_w) = mst_plus(g, &tree, &aug);
     let report = session.solve(g, &SolveRequest::new("greedy")).expect("2EC instance");
     assert_pinned(

@@ -75,35 +75,36 @@ struct EngineScratch {
     pref_u: Vec<u32>,
 }
 
-/// Aggregation engine for a fixed tree and arc set.
+/// Aggregation engine for a fixed tree and arc set. It borrows the
+/// tree's rows from the [`LcaOracle`] and its vertex order from the
+/// [`RootedTree`].
 #[derive(Clone, Debug)]
-pub struct CoverEngine {
+pub struct CoverEngine<'a> {
     arcs: Vec<CoverArc>,
-    /// All vertices sorted by depth, ascending: the root, then the tree
-    /// edges (child endpoints).
-    by_depth: Vec<VertexId>,
+    /// All vertices sorted by depth, ascending (the tree's BFS order):
+    /// the root, then the tree edges (child endpoints).
+    by_depth: &'a [VertexId],
     /// Arc indices bucketed by `anc`: those of `v` are
     /// `by_anc[anc_start[v]..anc_start[v + 1]]`.
     by_anc: Vec<u32>,
     anc_start: Vec<u32>,
     /// Parent of each vertex; the root maps to itself.
-    parent: Vec<u32>,
-    depth: Vec<u32>,
-    pre: Vec<u32>,
-    post: Vec<u32>,
-    n: usize,
+    parent: &'a [u32],
+    depth: &'a [u32],
+    pre: &'a [u32],
+    post: &'a [u32],
     /// Per-invocation scratch (interior mutability: the methods take
     /// `&self` and the scratch is logically stateless between calls).
     scratch: RefCell<EngineScratch>,
 }
 
-impl CoverEngine {
+impl<'a> CoverEngine<'a> {
     /// Builds the engine.
     ///
     /// # Panics
     ///
     /// Panics if any arc's `anc` is not a proper ancestor of its `desc`.
-    pub fn new(tree: &RootedTree, lca: &LcaOracle, arcs: Vec<CoverArc>) -> Self {
+    pub fn new(tree: &'a RootedTree, lca: &'a LcaOracle, arcs: Vec<CoverArc>) -> Self {
         let n = tree.n();
         for a in &arcs {
             assert!(
@@ -112,14 +113,6 @@ impl CoverEngine {
                 a
             );
         }
-        let depth: Vec<u32> = (0..n).map(|v| tree.depth(VertexId(v as u32))).collect();
-        let pre: Vec<u32> = (0..n).map(|v| lca.euler().pre(VertexId(v as u32))).collect();
-        let post: Vec<u32> = (0..n).map(|v| lca.euler().post(VertexId(v as u32))).collect();
-        let parent: Vec<u32> = (0..n)
-            .map(|v| tree.parent(VertexId(v as u32)).unwrap_or(tree.root()).0)
-            .collect();
-        let mut by_depth = tree.order().to_vec();
-        by_depth.sort_by_key(|v| depth[v.index()]);
         // Counting sort of the arcs by `anc`.
         let mut anc_start = vec![0u32; n + 1];
         for a in &arcs {
@@ -137,14 +130,13 @@ impl CoverEngine {
         }
         CoverEngine {
             arcs,
-            by_depth,
+            by_depth: tree.order(),
             by_anc,
             anc_start,
-            parent,
-            depth,
-            pre,
-            post,
-            n,
+            parent: &lca.parent,
+            depth: &lca.depth,
+            pre: &lca.euler.pre,
+            post: &lca.euler.post,
             scratch: RefCell::default(),
         }
     }
@@ -172,7 +164,7 @@ impl CoverEngine {
     /// active arcs covering it.
     pub fn covering_count(&self, active: &[bool]) -> Vec<u32> {
         assert_eq!(active.len(), self.arcs.len());
-        let mut sum = vec![0i32; self.n];
+        let mut sum = vec![0i32; self.by_depth.len()];
         for (a, _) in self.arcs.iter().zip(active).filter(|&(_, &on)| on) {
             sum[a.desc.index()] += 1;
             sum[a.anc.index()] -= 1;
@@ -202,9 +194,10 @@ impl CoverEngine {
         // `next[v] == v` while the edge above `v` is unpainted; the root
         // holds no edge and is never painted.
         next.clear();
-        next.extend(0..self.n as u32);
-        let mut out = vec![None; self.n];
-        let mut unpainted = self.n - 1;
+        let n = self.by_depth.len();
+        next.extend(0..n as u32);
+        let mut out = vec![None; n];
+        let mut unpainted = n - 1;
         for &(key, i) in order.iter() {
             if unpainted == 0 {
                 break;
@@ -245,12 +238,12 @@ impl CoverEngine {
     /// For every arc, the sum of `tvals[v]` over the tree edges (child
     /// endpoints `v`) it covers.
     pub fn covered_sum(&self, tvals: &[f64]) -> Vec<f64> {
-        assert_eq!(tvals.len(), self.n);
+        assert_eq!(tvals.len(), self.by_depth.len());
         let mut s = self.scratch.borrow_mut();
         // Prefix sums root -> v over edge values.
         let pref = &mut s.pref_f;
         pref.clear();
-        pref.resize(self.n, 0.0);
+        pref.resize(tvals.len(), 0.0);
         for &v in self.edges_by_depth() {
             let p = self.parent[v.index()] as usize;
             pref[v.index()] = pref[p] + tvals[v.index()];
@@ -263,11 +256,11 @@ impl CoverEngine {
 
     /// For every arc, the number of covered tree edges with `tmask` set.
     pub fn covered_count(&self, tmask: &[bool]) -> Vec<u32> {
-        assert_eq!(tmask.len(), self.n);
+        assert_eq!(tmask.len(), self.by_depth.len());
         let mut s = self.scratch.borrow_mut();
         let pref = &mut s.pref_u;
         pref.clear();
-        pref.resize(self.n, 0);
+        pref.resize(tmask.len(), 0);
         for &v in self.edges_by_depth() {
             let p = self.parent[v.index()] as usize;
             pref[v.index()] = pref[p] + u32::from(tmask[v.index()]);
@@ -282,13 +275,13 @@ impl CoverEngine {
     /// (`u64::MAX` if the path is empty, which cannot happen for a valid
     /// arc).
     pub fn covered_min(&self, keys: &[u64]) -> Vec<u64> {
-        assert_eq!(keys.len(), self.n);
+        assert_eq!(keys.len(), self.by_depth.len());
         let mut s = self.scratch.borrow_mut();
         let EngineScratch { link, link_min, .. } = &mut *s;
         link.clear();
-        link.extend(0..self.n as u32);
+        link.extend(0..keys.len() as u32);
         link_min.clear();
-        link_min.resize(self.n, u64::MAX);
+        link_min.resize(keys.len(), u64::MAX);
         let mut out = vec![u64::MAX; self.arcs.len()];
         // Deepest first: when `v` comes up, its proper descendants are
         // linked and `v` is not, so a find from `desc` climbs exactly the

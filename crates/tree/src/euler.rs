@@ -1,5 +1,6 @@
 //! Euler tour (pre/post order) over a rooted tree: subtree intervals and
-//! constant-time ancestor tests.
+//! constant-time ancestor tests. [`crate::LcaOracle`] builds the one
+//! tour of a tree; reach it through [`crate::LcaOracle::euler`].
 
 use crate::rooted::RootedTree;
 use decss_graphs::VertexId;
@@ -7,8 +8,8 @@ use decss_graphs::VertexId;
 /// Pre/post numbering of a rooted tree.
 #[derive(Clone, Debug)]
 pub struct EulerTour {
-    pre: Vec<u32>,
-    post: Vec<u32>,
+    pub(crate) pre: Vec<u32>,
+    pub(crate) post: Vec<u32>,
     size: Vec<u32>,
 }
 

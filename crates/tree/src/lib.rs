@@ -12,10 +12,10 @@
 //! * [`RootedTree`] — parent/children/depth structure over a spanning
 //!   tree of a [`decss_graphs::Graph`]; tree edges are identified by
 //!   their child endpoint,
-//! * [`euler::EulerTour`] — pre/post intervals and subtree tests,
-//! * [`lca::LcaOracle`] — `O(log n)`-bit labels supporting ancestor
-//!   tests plus binary-lifting LCA queries,
-//! * [`hld::HeavyLight`] — heavy-light decomposition (Definition 5.3),
+//! * [`euler::EulerTour`] — pre/post intervals and subtree tests (the
+//!   oracle's tour),
+//! * [`lca::LcaOracle`] — the one index of the tree that both theorems
+//!   share: Euler tour, heavy paths (Definition 5.3), LCA,
 //! * [`layering::Layering`] — the junction-contraction layering with
 //!   `O(log n)` layers, layer paths, and `leaf(t)` values,
 //! * [`segments::SegmentDecomposition`] — `O(√n)` edge-disjoint segments
@@ -28,20 +28,20 @@
 //!
 //! ```
 //! use decss_graphs::gen;
-//! use decss_tree::{EulerTour, Layering, RootedTree, SegmentDecomposition};
+//! use decss_tree::{Layering, LcaOracle, RootedTree, SegmentDecomposition};
 //!
 //! let g = gen::gnp_two_ec(64, 0.06, 32, 1);
 //! let tree = RootedTree::mst(&g);
 //! let layering = Layering::new(&tree);
 //! assert!(layering.num_layers() as f64 <= (g.n() as f64).log2() + 1.0);
-//! let euler = EulerTour::new(&tree);
-//! let segments = SegmentDecomposition::new(&tree, &euler);
+//! let lca = LcaOracle::new(&tree);
+//! assert!(lca.light_depth(tree.order()[g.n() - 1]) as f64 <= (g.n() as f64).log2());
+//! let segments = SegmentDecomposition::new(&tree, lca.euler());
 //! assert!(segments.len() as f64 <= 4.0 * (g.n() as f64).sqrt() + 2.0);
 //! ```
 
 pub mod aggregates;
 pub mod euler;
-pub mod hld;
 pub mod layering;
 pub mod lca;
 pub mod rooted;
@@ -51,7 +51,6 @@ pub mod segments;
 pub(crate) mod testutil;
 
 pub use euler::EulerTour;
-pub use hld::HeavyLight;
 pub use layering::Layering;
 pub use lca::LcaOracle;
 pub use rooted::RootedTree;
